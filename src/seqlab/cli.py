@@ -62,6 +62,10 @@ def _window_arg(text: str) -> PrimeWindow:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _primes_arg(text: str) -> PrimeWindow:
+    return _window_arg("first:" + text)
+
+
 def _add_context_args(p: argparse.ArgumentParser, t_only: bool = False) -> None:
     p.add_argument("--t", type=_rational, default=None, metavar="T",
                    help="one-parameter recursion x_{n+1} = t*x_n - x_{n-1}")
@@ -74,7 +78,7 @@ def _add_context_args(p: argparse.ArgumentParser, t_only: bool = False) -> None:
 def _add_window_args(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--window", type=_window_arg, default=None, metavar="MODE:SIZE",
                    help="prime window, 'first:K' or 'below:B' (default %s)" % default)
-    p.add_argument("--primes", type=int, default=None, metavar="K",
+    p.add_argument("--primes", type=_primes_arg, default=None, metavar="K",
                    help="shorthand for --window first:K")
     p.add_argument("--parallel", type=int, default=None, metavar="N",
                    help="sweep the window with N worker processes")
@@ -84,7 +88,7 @@ def _resolve_window(args: argparse.Namespace, default: str) -> PrimeWindow:
     if args.window is not None and args.primes is not None:
         raise SeqLabError("give either --window or --primes, not both")
     if args.primes is not None:
-        return PrimeWindow("first", args.primes)
+        return args.primes
     return args.window if args.window is not None else PrimeWindow.parse(default)
 
 
@@ -263,7 +267,8 @@ def cmd_divisors(args: argparse.Namespace) -> int:
     window = _resolve_window(args, "first:300")
     x = GroupElement.from_pair(ParamPair.one_param(t), *args.x)
     eligible, excluded = lab.window_split(t, window)
-    members = lab.gamma(x, window, processes=args.parallel)
+    flags = lab.divisor_flags([x], eligible, processes=args.parallel)
+    members = [p for p, (hit,) in zip(eligible, flags) if hit]
     if args.format == "json":
         return _emit_json({
             "t": format_rational(t),
@@ -271,7 +276,7 @@ def cmd_divisors(args: argparse.Namespace) -> int:
             "window": window.to_dict(),
             "eligible": len(eligible),
             "excluded": excluded,
-            "gamma": list(members),
+            "gamma": members,
             "density_pi_t": len(members) / len(eligible) if eligible else None,
         })
     if args.format == "csv":

@@ -25,7 +25,7 @@ from .rational import format_rational, is_rational_square
 from .ring import ParamPair, RationalLike, _frac
 from .transforms import classify_cyclotomic, is_simple
 from .group import GroupElement, class_c, class_w, class_v
-from .modp import in_admissible_set, is_divisor
+from .modp import divisor_table, exclusion_modulus
 from .primes import first_odd_primes, odd_primes_below
 
 CONVENTIONS = ("pi_t", "all")
@@ -80,17 +80,16 @@ class PrimeWindow:
 
 
 def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[int]]:
-    """Split the window into (admissible, excluded) primes for t."""
-    t = _frac(t)
+    """Split the window into (admissible, excluded) primes for t.
+
+    Window primes come from the sieve and are odd, so each needs only the
+    remainder of exclusion_modulus(t).
+    """
+    modulus = exclusion_modulus(_frac(t))
     eligible, excluded = [], []
     for p in window.primes():
-        (eligible if in_admissible_set(t, p) else excluded).append(p)
+        (eligible if modulus % p else excluded).append(p)
     return eligible, excluded
-
-
-def _flags_chunk(args: Tuple[Tuple[GroupElement, ...], Sequence[int]]) -> List[Tuple[bool, ...]]:
-    elements, primes = args
-    return [tuple(is_divisor(x, p) for x in elements) for p in primes]
 
 
 def divisor_flags(
@@ -105,11 +104,11 @@ def divisor_flags(
     """
     elements = tuple(elements)
     if not processes or processes <= 1 or len(primes) < 64:
-        return _flags_chunk((elements, primes))
+        return divisor_table(elements, primes)
     chunk = max(32, len(primes) // (4 * processes))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
     with Pool(processes) as pool:
-        parts = pool.map(_flags_chunk, jobs)
+        parts = pool.starmap(divisor_table, jobs)
     return [row for part in parts for row in part]
 
 

@@ -8,7 +8,19 @@ nonvanishing determinant form a cyclic group of order
         p + 1   otherwise.
 
 Element orders in that group drive the whole divisor theory: p divides some
-term of the sequence carried by X exactly when ord_p(X) divides ord_p(D).
+term of the sequence carried by X exactly when ord_p(X) divides ord_p(D),
+that is, when X**m is a scalar mod p for m = ord_p(D).  So a divisor test
+costs one exponentiation per element, and m is found once per (t, p).
+
+m comes from a descent over the factors of N that tests "D**n is scalar" as
+V_n(t, 1) = +-2 (mod p), V being the Lucas sequence V_0 = 2, V_1 = t.  The
+eigenvalues a, 1/a of D are distinct because delta != 0 mod p, so D**n is
+scalar iff a**n = +-1, iff V_n = a**n + a**-n = +-2.  V_n comes from a
+Lucas-chain ladder of two modular products per bit and no inverses
+(Montgomery 1992, "Evaluating recurrences of form X_{m+n} = f(X_m, X_n,
+X_{m-n}) via Lucas chains"; Joye and Quisquater 1996, "Efficient
+computation of full Lucas sequences"), and V_q(V_n(t)) = V_qn(t) lets each
+step of the descent go on from the last value.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
 from .group import GroupElement
 from .rational import factorize
@@ -27,24 +40,23 @@ from .transforms import check_parameter
 
 def in_admissible_set(t: RationalLike, p: int) -> bool:
     """Whether p belongs to the admissible prime set of t."""
-    t = _frac(t)
-    if p == 2:
-        return False
-    from .primes import is_prime
+    return p != 2 and _primes.is_prime(p) and exclusion_modulus(_frac(t)) % p != 0
 
-    if not is_prime(p):
-        return False
-    delta = t * t - 4
-    return (
-        t.numerator % p != 0
-        and t.denominator % p != 0
-        and delta.numerator % p != 0
-    )
+
+def exclusion_modulus(t: Fraction) -> int:
+    """An odd prime is admissible for t iff it does not divide this integer.
+
+    It is the product of the numerator and denominator of t and the
+    numerator of t**2 - 4 (zero when t is 0 or +-2: then no prime is).
+    """
+    n, d = t.numerator, t.denominator
+    return n * d * (n * n - 4 * d * d)
 
 
 @dataclass(frozen=True)
 class ModpContext:
-    """t reduced mod an admissible prime, with the group order prefactored."""
+    """t reduced mod an admissible prime, with the group order prefactored
+    and the order of the companion class D."""
 
     t: Fraction
     p: int
@@ -52,6 +64,7 @@ class ModpContext:
     delta_p: int
     group_order: int
     order_factors: Tuple[Tuple[int, int], ...]
+    companion_order: int
 
 
 @lru_cache(maxsize=None)
@@ -63,10 +76,35 @@ def _modp_context(t: Fraction, p: int) -> ModpContext:
     delta_p = (t_p * t_p - 4) % p
     is_qr = pow(delta_p, (p - 1) // 2, p) == 1
     n = p - 1 if is_qr else p + 1
+    factors = tuple(sorted(factorize(n).items()))
     return ModpContext(
-        t=t, p=p, t_p=t_p, delta_p=delta_p, group_order=n,
-        order_factors=tuple(sorted(factorize(n).items())),
+        t=t, p=p, t_p=t_p, delta_p=delta_p, group_order=n, order_factors=factors,
+        companion_order=_companion_order(t_p, p, n, factors),
     )
+
+
+def _lucas_v(s: int, p: int, n: int) -> int:
+    """V_n(s, 1) mod p, by the ladder (V_k, V_k+1) -> (V_2k, V_2k+1) or (V_2k+1, V_2k+2)."""
+    v, w = 2, s
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = (v * w - s) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - s) % p
+    return v
+
+
+def _companion_order(t_p: int, p: int, n: int, factors: Tuple[Tuple[int, int], ...]) -> int:
+    """ord_p(D) in the group of order n: strip each prime power q**e off the
+    order, then put back the factors q that D still needs to become scalar."""
+    m = n
+    for q, e in factors:
+        m //= q ** e
+        v = _lucas_v(t_p, p, m)
+        while v != 2 and v != p - 2:
+            v = _lucas_v(v, p, q)
+            m *= q
+    return m
 
 
 def modp_context(t: RationalLike, p: int) -> ModpContext:
@@ -149,17 +187,9 @@ def ord_p(x: ModpElement) -> int:
     return _ord(x.ctx, (x.a0, x.a1))
 
 
-@lru_cache(maxsize=None)
-def _ord_named(t: Fraction, p: int, which: str) -> int:
-    ctx = _modp_context(t, p)
-    pair = {"D": (1, ctx.t_p), "W": (-1, 1), "V": (1, 1), "C": (2, ctx.t_p)}[which]
-    pair = _normalize(p, (pair[0] % p, pair[1] % p))
-    return _ord(ctx, pair)
-
-
 def ord_companion(t: RationalLike, p: int) -> int:
     """ord_p of the companion class D."""
-    return _ord_named(_frac(t), p, "D")
+    return modp_context(t, p).companion_order
 
 
 def xi(t: RationalLike, p: int) -> int:
@@ -168,7 +198,46 @@ def xi(t: RationalLike, p: int) -> int:
     ord_p(D) equals xi when xi is odd and xi/2 when xi is even (W**2 is the
     D**-1 class).
     """
-    return _ord_named(_frac(t), p, "W")
+    ctx = modp_context(t, p)
+    return _ord(ctx, _normalize(p, (p - 1, 1)))
+
+
+def _in_companion_subgroup(t_p: int, p: int, bits: str, a0: int, a1: int) -> bool:
+    """Whether the class (a0, a1) is nonsingular mod p and its power x**m is
+    a scalar (a0 component 0), where bits = bin(m)[3:]; no inverses taken."""
+    a0, a1 = a0 % p, a1 % p
+    if _det(t_p, p, (a0, a1)) == 0:
+        return False
+    y0, y1 = a0, a1
+    for bit in bits:
+        y0, y1 = y0 * (2 * y1 - t_p * y0) % p, (y1 * y1 - y0 * y0) % p
+        if bit == "1":
+            y0, y1 = (y1 * a0 + y0 * a1 - t_p * y0 * a0) % p, (y1 * a1 - y0 * a0) % p
+    return y0 == 0
+
+
+def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
+    """is_divisor(x, p) for each element x, one row per prime p.
+
+    Each row looks up one context per distinct t; each element then costs
+    one exponentiation.
+    """
+    params: Dict[Fraction, int] = {}
+    columns = []
+    for x in elements:
+        if not x.ctx.is_one_param:
+            raise ExcludedPrimeError("divisor test takes one-parameter classes")
+        columns.append((params.setdefault(x.ctx.T, len(params)), x.a0, x.a1))
+    table = []
+    for p in primes:
+        per_t = []
+        for t in params:
+            ctx = modp_context(t, p)
+            per_t.append((ctx.t_p, bin(ctx.companion_order)[3:]))
+        table.append(tuple([
+            _in_companion_subgroup(per_t[i][0], p, per_t[i][1], a0, a1) for i, a0, a1 in columns
+        ]))
+    return table
 
 
 def is_divisor(x: GroupElement, p: int) -> bool:
@@ -176,16 +245,9 @@ def is_divisor(x: GroupElement, p: int) -> bool:
 
     False outright when det(x) vanishes mod p (a reduced sequence with a
     zero term would force all terms to zero); otherwise p divides a term
-    iff ord_p(x) divides ord_p(D).
+    iff ord_p(x) divides m = ord_p(D), that is, iff x**m is a scalar mod p.
     """
-    if not x.ctx.is_one_param:
-        raise ExcludedPrimeError("divisor test takes one-parameter classes")
-    t = x.ctx.T
-    ctx = modp_context(t, p)
-    pair = (x.a0 % p, x.a1 % p)
-    if _det(ctx.t_p, p, pair) == 0:
-        return False
-    return ord_companion(t, p) % _ord(ctx, _normalize(p, pair)) == 0
+    return divisor_table((x,), (p,))[0][0]
 
 
 def trichotomy_class(t: RationalLike, p: int) -> str:

@@ -165,6 +165,15 @@ def test_error_exit_codes(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_prime_count_is_a_usage_error(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["divisors", "--t", "3", "--x", "1,2", "--primes", count])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "window size must be positive" in err
+
+
 def test_argparse_rejections():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -5,14 +5,18 @@ projective classes directly, compute element orders by stepping, and decide
 divisibility by scanning sequence terms mod p.  The layer must agree.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from seqlab.errors import ExcludedPrimeError, SingularElementError
 from seqlab.ring import ParamPair
+from seqlab.transforms import classify_cyclotomic
 from seqlab.group import GroupElement, class_c, class_v, class_w, companion_class
+from seqlab.lab import divisor_flags
 from seqlab.modp import (
+    divisor_table,
     in_admissible_set,
     is_divisor,
     modp_context,
@@ -224,3 +228,103 @@ def test_qr_filter_euler():
     # det W = 5; QRs mod 11 are {1, 3, 4, 5, 9}
     assert qr_filter(class_w(3), 11)
     assert not qr_filter(class_w(3), 7)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the descent-based orders
+# ---------------------------------------------------------------------------
+
+
+def descent_companion_order(t, p):
+    """ord_p(D) by the element-order descent, the kernel's reference."""
+    return ord_p(modp_reduce(companion_class(ParamPair.one_param(t)), p))
+
+
+def descent_flag(x, p):
+    try:
+        xp = modp_reduce(x, p)
+    except SingularElementError:
+        return False
+    return descent_companion_order(x.ctx.T, p) % ord_p(xp) == 0
+
+
+def random_classes(rng, t, count):
+    ctx = ParamPair.one_param(t)
+    out = []
+    while len(out) < count:
+        a0, a1 = rng.randint(-40, 40), rng.randint(-40, 40)
+        if (a0, a1) == (0, 0) or a1 * a1 - t * a0 * a1 + a0 * a0 == 0:
+            continue
+        out.append(GroupElement.from_pair(ctx, a0, a1))
+    return out
+
+
+@pytest.mark.parametrize("t, kind", [
+    (F(3), "generic"), (F(19, 3), "generic"),
+    (F(-6, 5), "circular"), (F(48, 25), "circular"),
+    (F(11, 7), "cubic"), (F(-22, 13), "cubic"),
+])
+def test_batched_flags_match_descent(t, kind):
+    assert classify_cyclotomic(t).kind == kind
+    rng = random.Random(20211001)
+    elements = random_classes(rng, t, 12) + [class_w(t), class_v(t), class_c(ParamPair.one_param(t))]
+    primes = [p for p in odd_primes_below(700) if in_admissible_set(t, p)]
+    table = divisor_flags(elements, primes)
+    for p, row in zip(primes, table):
+        assert row == tuple(descent_flag(x, p) for x in elements), (t, p)
+
+
+def test_lucas_companion_order_matches_descent():
+    rng = random.Random(1992)
+    primes = odd_primes_below(6000)
+    pairs = set()
+    while len(pairs) < 10000:
+        t = F(rng.randint(-90, 90), rng.randint(1, 15))
+        p = rng.choice(primes)
+        if t in (0, 1, -1, 2, -2) or not in_admissible_set(t, p):
+            continue
+        pairs.add((t, p))
+    for t, p in sorted(pairs):
+        assert ord_companion(t, p) == descent_companion_order(t, p), (t, p)
+
+
+def test_kernel_edge_cases():
+    # det[1, 5] = 11 at t = 3: singular mod 11, never a divisor
+    singular = GroupElement.from_pair(T3, 1, 5)
+    # [7, 1] is the scalar 1 mod 7 (a0 = 0): in every subgroup
+    scalar = GroupElement.from_pair(T3, 7, 1)
+    d = companion_class(T3)
+    assert divisor_table([singular, d], [11]) == [(False, True)]
+    assert divisor_table([scalar, d], [7]) == [(True, True)]
+    assert not is_divisor(singular, 11) and is_divisor(scalar, 7)
+    assert all(is_divisor(d, p) for p in odd_primes_below(400) if in_admissible_set(F(3), p))
+
+
+def test_kernel_mixes_parameters_in_one_call():
+    t1, t2 = F(3), F(19, 3)
+    x1 = GroupElement.from_pair(T3, 1, 4)
+    x2 = GroupElement.from_pair(ParamPair.one_param(t2), 2, 9)
+    elements = [x1, x2, class_w(t1), class_w(t2)]
+    primes = [p for p in odd_primes_below(400) if in_admissible_set(t1, p) and in_admissible_set(t2, p)]
+    table = divisor_flags(elements, primes)
+    assert table == [tuple(is_divisor(x, p) for x in elements) for p in primes]
+    assert table == [tuple(descent_flag(x, p) for x in elements) for p in primes]
+
+
+def test_kernel_rejects_excluded_primes():
+    x = GroupElement.from_pair(T3, 1, 4)
+    for p in (2, 3, 5, 9, 15):  # 2, the primes dividing t(t^2 - 4) = 15, composites
+        with pytest.raises(ExcludedPrimeError):
+            divisor_flags([x], [7, p])
+        with pytest.raises(ExcludedPrimeError):
+            is_divisor(x, p)
+    with pytest.raises(ExcludedPrimeError):
+        divisor_table([GroupElement.from_pair(ParamPair(5, 3), 1, 4)], [7])
+
+
+def test_divisor_flags_parallel_equals_serial():
+    t = F(19, 3)
+    elements = random_classes(random.Random(7), t, 3)
+    primes = [p for p in odd_primes_below(1500) if in_admissible_set(t, p)]
+    assert len(primes) >= 64  # below that the serial path runs
+    assert divisor_flags(elements, primes, processes=2) == divisor_flags(elements, primes)
