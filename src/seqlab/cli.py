@@ -322,14 +322,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
     window = _resolve_window(args, "first:1200")
     reports = lab.table3(window, processes=args.parallel, full=args.full)
     for rep in reports:
-        dens = rep.densities(args.convention)
-        assert rep.reference is not None
-        dev = max(
-            abs(dens["x"] - rep.reference[0]),
-            abs(dens["wx"] - rep.reference[1]),
-            abs(dens["intersection"] - rep.reference[2]),
-            abs(dens["product"] - rep.reference[3]),
-        )
+        dev = lab.reference_deviation(rep, args.convention)
         if dev > 0.01:
             print("warning: (T, Q) = (%d, %d) deviates from the reference by %.4f"
                   % (rep.T, rep.Q, dev), file=sys.stderr)

@@ -14,14 +14,16 @@ divisor theory downstream collapses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
+from . import primes as _primes
 from .errors import DegenerateParameterError, SingularElementError
 from .rational import divisors, is_rational_square, rational_sqrt
-from .ring import ParamPair, RationalLike, RingElement, chebyshev_c, chebyshev_u, _frac
+from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, chebyshev_u, _frac
 from .transforms import check_parameter, classify_cyclotomic
 
 
@@ -87,14 +89,7 @@ class GroupElement:
 
     def __pow__(self, n: int) -> "GroupElement":
         base = self if n >= 0 else self.inverse()
-        out = identity_class(self.ctx)
-        k = abs(n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binpow(operator.mul, identity_class(self.ctx), base, abs(n))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<[%d, %d] over (%s, %s)>" % (self.a0, self.a1, self.ctx.T, self.ctx.Q)
@@ -195,14 +190,6 @@ class PrimitivityReport:
     circular_primitive: Optional[bool] = None
 
 
-def _primes_up_to(n: int) -> List[int]:
-    out = []
-    for k in range(2, n + 1):
-        if all(k % p for p in out):
-            out.append(k)
-    return out
-
-
 def _chebyshev_witnesses(t: Fraction, r: int) -> List[ChebyshevWitness]:
     """All rational u with C_r(u) = +-t, by exact rational root search.
 
@@ -248,7 +235,7 @@ def primitivity(t: RationalLike) -> PrimitivityReport:
     """
     t = check_parameter(_frac(t))
     witnesses: List[ChebyshevWitness] = []
-    for r in _primes_up_to(_witness_prime_bound(t)):
+    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
         witnesses.extend(_chebyshev_witnesses(t, r))
     cls = classify_cyclotomic(t)
     circ: Optional[bool] = None
@@ -273,7 +260,7 @@ def maximal_decomposition(t: RationalLike) -> Tuple[int, Fraction, int]:
     """
     t = check_parameter(_frac(t))
     best = (1, t, 1)
-    for r in _primes_up_to(_witness_prime_bound(t)):
+    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
         for w in _chebyshev_witnesses(t, r):
             m_inner, v, s_inner = maximal_decomposition(w.u)
             # t = w.sign * C_r(u), u = s_inner * C_{m_inner}(v)

@@ -384,6 +384,10 @@ def independence_report(
     x = GroupElement.from_pair(ctx, Q * x0, x2)
     wx = class_w(t) * x
     eligible, excluded = window_split(t, window)
+    if not eligible:
+        raise DegenerateParameterError(
+            "no admissible prime in window %s:%d for t = %s" % (window.mode, window.size, t)
+        )
     flags = divisor_flags([x, wx], eligible, processes)
     hits_x = [p for p, row in zip(eligible, flags) if row[0]]
     hits_wx = [p for p, row in zip(eligible, flags) if row[1]]
@@ -416,19 +420,20 @@ def table3(
     ]
 
 
-def best_reference_deviation(report: DensityReport) -> Tuple[str, float]:
-    """The convention minimizing the max density deviation from the reference."""
+def reference_deviation(report: DensityReport, convention: str) -> float:
+    """The max deviation of the report's densities from its reference row."""
     if report.reference is None:
         raise ValueError("report has no reference densities")
+    dens = report.densities(convention)
+    keys = ("x", "wx", "intersection", "product")
+    return max(abs(dens[k] - ref) for k, ref in zip(keys, report.reference))
+
+
+def best_reference_deviation(report: DensityReport) -> Tuple[str, float]:
+    """The convention minimizing the max density deviation from the reference."""
     best: Tuple[str, float] = ("", float("inf"))
     for conv in CONVENTIONS:
-        dens = report.densities(conv)
-        dev = max(
-            abs(dens["x"] - report.reference[0]),
-            abs(dens["wx"] - report.reference[1]),
-            abs(dens["intersection"] - report.reference[2]),
-            abs(dens["product"] - report.reference[3]),
-        )
+        dev = reference_deviation(report, conv)
         if dev < best[1]:
             best = (conv, dev)
     return best

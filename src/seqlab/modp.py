@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Sequence, Tuple
 
 from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
 from .group import GroupElement
 from .rational import factorize
-from .ring import RationalLike, _frac
+from .ring import RationalLike, _frac, binpow
 from .transforms import check_parameter
 
 
@@ -154,13 +154,7 @@ def _normalize(p: int, x: Tuple[int, int]) -> Tuple[int, int]:
 
 
 def _pow(t_p: int, p: int, x: Tuple[int, int], n: int) -> Tuple[int, int]:
-    out = (0, 1)
-    while n:
-        if n & 1:
-            out = _mul(t_p, p, out, x)
-        x = _mul(t_p, p, x, x)
-        n >>= 1
-    return _normalize(p, out)
+    return _normalize(p, binpow(partial(_mul, t_p, p), (0, 1), x, n))
 
 
 def _ord(ctx: ModpContext, x: Tuple[int, int]) -> int:

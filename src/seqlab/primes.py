@@ -1,13 +1,13 @@
 """Prime enumeration for the divisor experiments.
 
-A plain sieve of Eratosthenes, grown geometrically when a count-based
-request outruns the current bound.  Windows in this package are always
-odd primes: 2 never belongs to the admissible set of any parameter.
+A plain sieve of Eratosthenes; a count-based request sieves once, up to
+Rosser's bound on the n-th prime.  Windows in this package are always odd
+primes: 2 never belongs to the admissible set of any parameter.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 from typing import List
 
 
@@ -28,15 +28,16 @@ def odd_primes_below(bound: int) -> List[int]:
 
 
 def first_odd_primes(count: int) -> List[int]:
-    """The first `count` odd primes 3, 5, 7, ..."""
+    """The first `count` odd primes 3, 5, 7, ...
+
+    The last of them is the prime p_n with n = count + 1, and
+    p_n < n*(ln n + ln ln n) for n >= 6 (Rosser 1941); p_5 = 11.
+    """
     if count <= 0:
         return []
-    bound = 32
-    while True:
-        out = odd_primes_below(bound)
-        if len(out) >= count:
-            return out[:count]
-        bound *= 2
+    n = count + 1
+    bound = int(n * (log(n) + log(log(n)))) + 2 if n >= 6 else 12
+    return odd_primes_below(bound)[:count]
 
 
 # A gcd with the product of these primes settles every n < 43**2.  Above

@@ -1,6 +1,6 @@
 """The commutative matrix ring attached to a second-order linear recursion.
 
-A context (T, Q) with T, Q nonzero rationals fixes the recursion
+A context (T, Q) of rationals with Q != 0 fixes the recursion
 x_{n+1} = T*x_n - Q*x_{n-1} and its companion matrix
 
     D = [[0, -Q],
@@ -15,19 +15,28 @@ elements are determined by their second row [x0, x1]; the full matrix is
 Each element carries the doubly infinite solution {x_n} of the recursion via
 [x_n, x_{n+1}] = [x0, x1] * D^n, so ring arithmetic is exact arithmetic on
 whole sequences.  The one-parameter ring R(t) is the context (t, 1).
+
+All arithmetic, powers included, is done on second rows: the row of X*Y
+is a polynomial in the rows of X and Y, D^n is the element with row
+[U_n, U_{n+1}], and every power, D^n and the Chebyshev values among them,
+comes from the one square-and-multiply routine `binpow`.  The full matrix
+is only ever built on request (`RingElement.matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from functools import partial
+from typing import Callable, Tuple, TypeVar, Union
 
 from .errors import ContextMismatchError, InvalidContextError, SingularElementError
 
 RationalLike = Union[Fraction, int, str]
 
 Matrix2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+
+_E = TypeVar("_E")
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -36,7 +45,7 @@ def _frac(x: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class ParamPair:
-    """A recursion context (T, Q), both nonzero.
+    """A recursion context (T, Q) with Q nonzero (det D = Q).
 
     The derived quantity t = T**2/Q - 2 is the parameter of the one-parameter
     ring the even/odd split lands in; discriminant = T**2 - 4*Q.
@@ -48,8 +57,8 @@ class ParamPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", _frac(self.T))
         object.__setattr__(self, "Q", _frac(self.Q))
-        if self.T == 0 or self.Q == 0:
-            raise InvalidContextError("context requires T != 0 and Q != 0, got (%s, %s)" % (self.T, self.Q))
+        if self.Q == 0:
+            raise InvalidContextError("context requires Q != 0, got (%s, %s)" % (self.T, self.Q))
 
     @classmethod
     def one_param(cls, t: RationalLike) -> "ParamPair":
@@ -78,47 +87,48 @@ class ParamPair:
         return "ParamPair(%s, %s)" % (self.T, self.Q)
 
 
-def _mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+def binpow(mul: Callable[[_E, _E], _E], one: _E, x: _E, n: int) -> _E:
+    """x**n for n >= 0 under the associative product mul with identity one.
 
-
-_MAT_ONE: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def _mat_pow(m: Matrix2, n: int) -> Matrix2:
-    out = _MAT_ONE
-    while n:
-        if n & 1:
-            out = _mat_mul(out, m)
-        m = _mat_mul(m, m)
-        n >>= 1
+    Left-to-right square and multiply: one squaring per bit of n after the
+    leading one and one product by x per further set bit.
+    """
+    if n == 0:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
     return out
 
 
-def companion_matrix(ctx: ParamPair) -> Matrix2:
-    return ((Fraction(0), -ctx.Q), (Fraction(1), ctx.T))
+Row = Tuple[Fraction, Fraction]
 
 
-def _companion_power(ctx: ParamPair, n: int) -> Matrix2:
-    """D^n for any integer n, by exact binary exponentiation."""
-    if n >= 0:
-        return _mat_pow(companion_matrix(ctx), n)
-    # D^-1 = [[T/Q, 1], [-1/Q, 0]]  (det D = Q != 0)
-    dinv: Matrix2 = ((ctx.T / ctx.Q, Fraction(1)), (Fraction(-1) / ctx.Q, Fraction(0)))
-    return _mat_pow(dinv, -n)
+def _row_mul(T: Fraction, Q: Fraction, x: Row, y: Row) -> Row:
+    """The second row of X*Y from the second rows of X and Y over (T, Q)."""
+    p = x[0] * y[0]
+    return x[1] * y[0] + x[0] * y[1] - T * p, x[1] * y[1] - Q * p
 
 
-def u_pair(ctx: ParamPair, n: int) -> Tuple[Fraction, Fraction]:
+def _u_row(T: Fraction, Q: Fraction, n: int) -> Row:
+    """The second row (U_n, U_{n+1}) of D^n for any integer n.
+
+    D has row (1, T) and D^-1 has row (-1/Q, 0).  No ParamPair is built,
+    so Chebyshev values stay defined at every t, excluded ones included.
+    """
+    d = (Fraction(1), T) if n >= 0 else (Fraction(-1) / Q, Fraction(0))
+    return binpow(partial(_row_mul, T, Q), (Fraction(0), Fraction(1)), d, abs(n))
+
+
+def u_pair(ctx: ParamPair, n: int) -> Row:
     """(U_n, U_{n+1}) for the fundamental solution U_0 = 0, U_1 = 1.
 
     D^n = [[-Q*U_{n-1}, -Q*U_n], [U_n, U_{n+1}]], so the pair is the second
     row of D^n.
     """
-    row = _companion_power(ctx, n)[1]
-    return row[0], row[1]
+    return _u_row(ctx.T, ctx.Q, n)
 
 
 @dataclass(frozen=True)
@@ -199,13 +209,8 @@ class RingElement:
     def __mul__(self, other: Union["RingElement", RationalLike]) -> "RingElement":
         if isinstance(other, RingElement):
             self._check(other)
-            x0, x1 = self.x0, self.x1
-            y0, y1 = other.x0, other.x1
-            return RingElement(
-                self.ctx,
-                x1 * y0 + x0 * y1 - self.ctx.T * x0 * y0,
-                x1 * y1 - self.ctx.Q * x0 * y0,
-            )
+            x0, x1 = _row_mul(self.ctx.T, self.ctx.Q, (self.x0, self.x1), (other.x0, other.x1))
+            return RingElement(self.ctx, x0, x1)
         return RingElement(self.ctx, _frac(other) * self.x0, _frac(other) * self.x1)
 
     def __rmul__(self, other: RationalLike) -> "RingElement":
@@ -225,14 +230,9 @@ class RingElement:
 
     def __pow__(self, n: int) -> "RingElement":
         base = self if n >= 0 else self.inverse()
-        out = identity(self.ctx)
-        k = abs(n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        mul = partial(_row_mul, self.ctx.T, self.ctx.Q)
+        x0, x1 = binpow(mul, (Fraction(0), Fraction(1)), (base.x0, base.x1), abs(n))
+        return RingElement(self.ctx, x0, x1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "[%s, %s] over (%s, %s)" % (self.x0, self.x1, self.ctx.T, self.ctx.Q)
@@ -277,28 +277,14 @@ def elem_v(ctx: ParamPair) -> RingElement:
     return RingElement(ctx, Fraction(1), Fraction(1))
 
 
-def _u_pair_t(t: Fraction, n: int) -> Tuple[Fraction, Fraction]:
-    """(U_n(t), U_{n+1}(t)) for any rational t, without context validation.
-
-    Chebyshev evaluation is plain polynomial arithmetic and stays defined at
-    the parameters (0, +-1, +-2) the ring constructor rejects.
-    """
-    if n >= 0:
-        m: Matrix2 = ((Fraction(0), Fraction(-1)), (Fraction(1), t))
-    else:
-        m = ((t, Fraction(1)), (Fraction(-1), Fraction(0)))
-        n = -n
-    row = _mat_pow(m, n)[1]
-    return row[0], row[1]
-
-
 def chebyshev_u(t: RationalLike, n: int) -> Fraction:
     """U_n(t): U_0 = 0, U_1 = 1, U_{n+1} = t*U_n - U_{n-1}; U_{-n} = -U_n."""
-    return _u_pair_t(_frac(t), n)[0]
+    return _u_row(_frac(t), 1, n)[0]
 
 
 def chebyshev_c(t: RationalLike, n: int) -> Fraction:
     """C_n(t) = trace of D_t^n: C_0 = 2, C_1 = t, same recursion; C_{-n} = C_n."""
-    un, un1 = _u_pair_t(_frac(t), n)
+    t = _frac(t)
+    un, un1 = _u_row(t, 1, n)
     # C_n = U_{n+1} - U_{n-1} and U_{n-1} = t*U_n - U_{n+1}
-    return 2 * un1 - _frac(t) * un
+    return 2 * un1 - t * un

@@ -156,8 +156,9 @@ def phi(x: RingElement) -> RingElement:
 
     Exactly multiplicative (conjugation by [[Q, -Q], [0, T]]); sends D**2 to
     Q*D_t, so even/odd subsequences of X become one-parameter solutions.
+    Undefined for T = 0, where that conjugator is singular.
     """
-    ctx = x.ctx
+    ctx = _split_source(x.ctx, "phi")
     return RingElement(
         ParamPair.one_param(ctx.t),
         ctx.Q * x.x0 / ctx.T,
@@ -167,9 +168,16 @@ def phi(x: RingElement) -> RingElement:
 
 def phi_inverse(y: RingElement, target: ParamPair) -> RingElement:
     """Inverse of the split: [y0, y1] over t = target.t maps to [T*y0/Q, y0 + y1]."""
+    _split_source(target, "phi_inverse")
     if not y.ctx.is_one_param or y.ctx.T != target.t:
         raise ContextMismatchError("element over %r is not in the image ring of %r" % (y.ctx, target))
     return RingElement(target, target.T * y.x0 / target.Q, y.x0 + y.x1)
+
+
+def _split_source(ctx: ParamPair, what: str) -> ParamPair:
+    if ctx.T == 0:
+        raise DegenerateParameterError("%s needs T != 0, got %r" % (what, ctx))
+    return ctx
 
 
 def _one_param_t(x: RingElement, what: str) -> Fraction:
@@ -319,6 +327,7 @@ def recombine(x: RingElement, target: ParamPair) -> RecombinedSequences:
         zh_{2k-1} = (-1)**k * Th * Qh**(k-2) * (x_k + x_{k-1})
     """
     t = _one_param_t(x, "recombine")
+    _split_source(target, "recombine")
     if target.t != t:
         raise ContextMismatchError("target %r does not split to t = %s" % (target, t))
     tw = simple_twin(target.T, target.Q)

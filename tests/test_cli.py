@@ -165,6 +165,22 @@ def test_error_exit_codes(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("window", [("--primes", "1"), ("--window", "below:3")])
+def test_table3_empty_window_is_a_domain_error(capsys, window):
+    code, out, err = run(capsys, "table3", *window)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no admissible prime in window")
+
+
+def test_seq_at_t_zero(capsys):
+    code, out, _ = run(capsys, "seq", "--t", "0", "--x", "1,2", "--range", "0..4")
+    assert code == 0
+    assert out.split() == ["x_0", "=", "1", "x_1", "=", "2", "x_2", "=", "-1",
+                           "x_3", "=", "-2", "x_4", "=", "1"]
+    code, _, err = run(capsys, "torsion", "--t", "0")
+    assert code == 2 and "excluded" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_nonpositive_prime_count_is_a_usage_error(capsys, count):
     with pytest.raises(SystemExit) as exc:

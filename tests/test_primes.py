@@ -1,6 +1,6 @@
 """Prime enumeration and primality against each other and known hard cases."""
 
-from seqlab.primes import is_prime, primes_below
+from seqlab.primes import first_odd_primes, is_prime, primes_below
 
 
 def test_is_prime_agrees_with_sieve():
@@ -22,3 +22,10 @@ def test_is_prime_large_cases():
     for n in carmichael + strong_pseudoprimes:
         assert not is_prime(n), n
 
+
+
+def test_first_odd_primes_is_a_prefix_of_one_sieve():
+    odd = primes_below(30_000)[1:]
+    assert len(odd) > 3_000
+    for k in range(-1, 3_001):
+        assert first_odd_primes(k) == odd[: max(k, 0)], k

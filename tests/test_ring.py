@@ -2,7 +2,7 @@
 
 The oracle below iterates x_{n+1} = T*x_n - Q*x_{n-1} (and its inverse
 x_{n-1} = (T*x_n - x_{n+1})/Q) term by term; everything the ring computes
-through matrix powers must agree with it.
+through powers of D must agree with it.
 """
 
 from fractions import Fraction
@@ -55,8 +55,9 @@ def elements(draw):
 
 
 def test_context_validation():
-    with pytest.raises(InvalidContextError):
-        ParamPair(0, 1)
+    # R(0) is a ring (det D = Q = 1); only Q = 0 is degenerate
+    assert ParamPair.one_param(0).T == 0
+    assert make_element(ParamPair(0, 1), 1, 2).terms(0, 5) == (1, 2, -1, -2, 1)
     with pytest.raises(InvalidContextError):
         ParamPair(3, 0)
     ctx = ParamPair.one_param(Fraction(19, 3))
@@ -170,6 +171,29 @@ def test_companion_power_row(ctx, n):
     d = companion(ctx)
     assert (d ** n).x0 == un and (d ** n).x1 == un1
     assert (d ** n).matrix[0] == (-ctx.Q * u[off + n - 1], -ctx.Q * un)
+
+
+@pytest.mark.parametrize("T, Q", [(3, 1), (5, 3), (1, -1), (Fraction(7, 2), Fraction(-2, 5)), (0, 2)])
+def test_u_pair_against_the_recursion(T, Q):
+    """Rows of D**n for |n| <= 300, both signs, at Q != 1 (D**-1 has row (-1/Q, 0))."""
+    ctx = ParamPair(T, Q)
+    u = brute_terms(ctx.T, ctx.Q, 0, 1, -301, 301)
+    for n in range(-300, 301):
+        assert u_pair(ctx, n) == (u[n + 301], u[n + 302]), n
+    assert u_pair(ctx, -1) == (Fraction(-1) / ctx.Q, 0)
+
+
+def test_negative_power_over_two_parameters():
+    ctx = ParamPair(5, 3)
+    x = make_element(ctx, Fraction(2, 3), -1)
+    inv = x.inverse()
+    expected = identity(ctx)
+    for n in range(1, 8):
+        expected = expected * inv
+        assert x ** -n == expected
+        assert (x ** -n) * (x ** n) == identity(ctx)
+    d = companion(ctx)
+    assert (d ** -7).x0 == u_pair(ctx, -7)[0] and (d ** -7).x1 == u_pair(ctx, -7)[1]
 
 
 @given(elements(), st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6))

@@ -183,6 +183,28 @@ def test_phi_sends_d_squared():
     assert phi(d * d) == F(-1) * companion(ParamPair.one_param(ctx.t))
 
 
+def test_phi_split_to_t_zero():
+    """T**2/Q = 2 splits to t = 0: R(0) is a ring, so phi is defined there."""
+    ctx = ParamPair(2, 2)
+    x = make_element(ctx, F(1, 3), F(-2))
+    y = make_element(ctx, F(5), F(1, 2))
+    assert phi(x).ctx == ParamPair.one_param(0)
+    assert phi(x * y) == phi(x) * phi(y)
+    assert phi_inverse(phi(x), ctx) == x
+    for k in range(-3, 4):
+        assert phi(x).term(k) == x.term(2 * k) / (ctx.T * ctx.Q ** (k - 1))
+
+
+def test_phi_rejects_t_zero_source():
+    ctx = ParamPair(0, 3)
+    with pytest.raises(DegenerateParameterError):
+        phi(make_element(ctx, 1, 2))
+    with pytest.raises(DegenerateParameterError):
+        phi_inverse(make_element(ParamPair.one_param(ctx.t), 1, 2), ctx)
+    with pytest.raises(DegenerateParameterError):
+        recombine(make_element(ParamPair.one_param(ctx.t), 1, 2), ctx)
+
+
 @given(st.fractions(min_value=-7, max_value=7, max_denominator=4), st.data())
 @settings(max_examples=60)
 def test_psi_involution(t, data):
