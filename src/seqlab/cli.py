@@ -19,7 +19,7 @@ from .errors import SeqLabError
 from .rational import format_rational, parse_rational
 from .ring import ParamPair, make_element
 from .transforms import classify_cyclotomic, check_parameter
-from .group import GroupElement, group_sqrt, maximal_decomposition, primitivity
+from .group import GroupElement, group_sqrt, primitivity
 from .laxton import laxton_eq, laxton_torsion
 from . import lab
 from .lab import PrimeWindow
@@ -174,7 +174,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         payload["f"] = format_rational(cls.f)
         payload["associates"] = [format_rational(a) for a in cls.associates]
     if not report.is_primitive:
-        m, u, sign = maximal_decomposition(t)
+        m, u, sign = report.decomposition
         payload["decomposition"] = {"m": m, "u": format_rational(u), "sign": sign}
     if args.format == "json":
         return _emit_json(payload)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Tuple
 
 from . import primes as _primes
 from .errors import DegenerateParameterError, SingularElementError
-from .rational import divisors, is_rational_square, rational_sqrt
+from .rational import divisors, factorize, is_rational_square, rational_sqrt
 from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, chebyshev_u, _frac
 from .transforms import check_parameter, classify_cyclotomic
 
@@ -187,25 +187,33 @@ class PrimitivityReport:
     kind: str
     is_primitive: bool
     witnesses: Tuple[ChebyshevWitness, ...]
+    decomposition: Tuple[int, Fraction, int]
     circular_primitive: Optional[bool] = None
 
 
-def _chebyshev_witnesses(t: Fraction, r: int) -> List[ChebyshevWitness]:
-    """All rational u with C_r(u) = +-t, by exact rational root search.
+def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
+    """All rational u with C_r(u) = +-t for a prime r, by exact rational root search.
 
-    Clearing denominators, d*C_r(u) -+ n = 0 has leading coefficient d and
-    constant term d*C_r(0) -+ n, so every root p/q has q | d and
-    p | |constant|.  (The constant is nonzero whenever t is outside the
-    excluded set, since C_r(0) is 0 or +-2.)
+    C_r is monic with integer coefficients, so a root p/q in lowest terms has
+    den(C_r(p/q)) = q**r: r must divide the gcd g of the exponents of den(t)
+    (g = 0, allowing every r, for integer t), and q = prod f**(e/r) is the
+    only denominator to try.  Clearing it, d*C_r(u) -+ n = 0 has constant
+    term d*C_r(0) -+ n, so p | |constant|.  (The constant is nonzero whenever
+    t is outside the excluded set, since C_r(0) is 0 or +-2.)
     """
     n, d = t.numerator, t.denominator
-    c0 = int(chebyshev_c(0, r))
+    den_factors = factorize(d)
+    g = gcd(*den_factors.values())
     out: List[ChebyshevWitness] = []
-    for sign in (1, -1):
-        const = d * c0 - sign * n
-        if const == 0:
-            raise DegenerateParameterError("t = %s is excluded" % t)
-        for q in divisors(d):
+    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
+        if g % r:
+            continue
+        q = prod(f ** (e // r) for f, e in den_factors.items())
+        c0 = int(chebyshev_c(0, r))
+        for sign in (1, -1):
+            const = d * c0 - sign * n
+            if const == 0:
+                raise DegenerateParameterError("t = %s is excluded" % t)
             for p in divisors(const):
                 if gcd(p, q) != 1:
                     continue
@@ -230,13 +238,26 @@ def primitivity(t: RationalLike) -> PrimitivityReport:
     """Decide whether t is expressible as +-C_r(u) for any prime r.
 
     t is primitive iff no such witness exists; only primes matter since
-    C_{rs} = C_r . C_s.  For circular t the report also says whether t is
-    circular primitive, i.e. whether 2*(2 + t) is a rational non-square.
+    C_{rs} = C_r . C_s.  The report carries the maximal decomposition
+    t = sign * C_m(u), u primitive, m maximal ((1, t, 1) for primitive t):
+    each prime witness is stacked on the decomposition of its u, and for odd
+    r the witness sign is absorbed into u, so the final sign only records an
+    unabsorbed minus in front of an even-step composition.  For circular t
+    the report also says whether t is circular primitive, i.e. whether
+    2*(2 + t) is a rational non-square.
     """
     t = check_parameter(_frac(t))
-    witnesses: List[ChebyshevWitness] = []
-    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
-        witnesses.extend(_chebyshev_witnesses(t, r))
+    witnesses = _chebyshev_witnesses(t)
+    best = (1, t, 1)
+    for w in witnesses:
+        m_inner, v, s_inner = maximal_decomposition(w.u)
+        # t = w.sign * C_r(u), u = s_inner * C_{m_inner}(v)
+        sign = w.sign * s_inner if w.r % 2 == 1 else w.sign
+        cand = (w.r * m_inner, v, sign)
+        key = (cand[0], cand[2], -abs(cand[1]), cand[1] > 0)
+        best_key = (best[0], best[2], -abs(best[1]), best[1] > 0)
+        if key > best_key:
+            best = cand
     cls = classify_cyclotomic(t)
     circ: Optional[bool] = None
     if cls.kind == "circular":
@@ -246,31 +267,11 @@ def primitivity(t: RationalLike) -> PrimitivityReport:
         kind=cls.kind,
         is_primitive=not witnesses,
         witnesses=tuple(witnesses),
+        decomposition=best,
         circular_primitive=circ,
     )
 
 
 def maximal_decomposition(t: RationalLike) -> Tuple[int, Fraction, int]:
-    """Write t = sign * C_m(u) with u primitive and m maximal.
-
-    Returns (m, u, sign); (1, t, 1) when t itself is primitive.  Composite m
-    are reached by stacking prime witnesses (C_{rs} = C_r . C_s); for odd r
-    the witness sign is absorbed into u, so the final sign only records an
-    unabsorbed minus in front of an even-step composition.
-    """
-    t = check_parameter(_frac(t))
-    best = (1, t, 1)
-    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
-        for w in _chebyshev_witnesses(t, r):
-            m_inner, v, s_inner = maximal_decomposition(w.u)
-            # t = w.sign * C_r(u), u = s_inner * C_{m_inner}(v)
-            if r % 2 == 1:
-                sign = w.sign * s_inner
-            else:
-                sign = w.sign
-            cand = (r * m_inner, v, sign)
-            key = (cand[0], cand[2], -abs(cand[1]), cand[1] > 0)
-            best_key = (best[0], best[2], -abs(best[1]), best[1] > 0)
-            if key > best_key:
-                best = cand
-    return best
+    """Write t = sign * C_m(u) with u primitive and m maximal: (m, u, sign)."""
+    return primitivity(t).decomposition

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ContextMismatchError, DegenerateParameterError
@@ -40,15 +39,6 @@ from .group import (
 _HEIGHT_PATIENCE = 3
 
 
-@lru_cache(maxsize=None)
-def d_power_class(ctx: ParamPair, k: int) -> GroupElement:
-    if k == 0:
-        return identity_class(ctx)
-    prev = d_power_class(ctx, k - 1 if k > 0 else k + 1)
-    step = companion_class(ctx) if k > 0 else companion_class(ctx).inverse()
-    return prev * step
-
-
 class LaxtonWitness(NamedTuple):
     """Certificate for X = scale * Y * D**k."""
 
@@ -59,21 +49,12 @@ class LaxtonWitness(NamedTuple):
 def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
     """Decide X = Y * D**k in the Laxton group; return (k, scale) or None.
 
-    Reduces to recognizing Z = X*Y^{-1} as a D-power class.  For one-
-    parameter contexts det Z must then be a rational square (det D = 1),
-    which filters most misses for free.  The k-search stops in each
-    direction once the reduced D-power heights exceed height(Z) stably: a
-    hit forces equal reduced representatives, hence equal heights.
-
-    The scale is the exact scalar with rep(X)*rep(Y)^{-1} = scale * D**k in
-    the ring.
+    Reduces to recognizing Z = X*Y^{-1} as a D-power class.  The scale is
+    the exact scalar with rep(X)*rep(Y)^{-1} = scale * D**k in the ring.
     """
     if x.ctx != y.ctx:
         raise ContextMismatchError("elements over %r and %r" % (x.ctx, y.ctx))
-    z = x * y.inverse()
-    if x.ctx.is_one_param and not is_rational_square(z.det):
-        return None
-    k = _find_d_power(z)
+    k = _find_d_power(x * y.inverse())
     if k is None:
         return None
     from .ring import u_pair
@@ -85,18 +66,27 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
 
 
 def _find_d_power(z: GroupElement) -> Optional[int]:
-    """The k with z = class(D**k), or None; height-bounded search."""
-    target_height = z.height
-    if z == identity_class(z.ctx):
+    """The k with z = class(D**k), or None.
+
+    For one-parameter contexts det z must be a rational square (det D = 1),
+    which filters most misses for free.  Otherwise walk the shifts D**k one
+    product per step in each direction, and stop once their heights exceed
+    height(z) stably: a hit forces equal reduced representatives, hence
+    equal heights.
+    """
+    if z.ctx.is_one_param and not is_rational_square(z.det):
+        return None
+    one = identity_class(z.ctx)
+    if z == one:
         return 0
-    for direction in (1, -1):
-        k, exceed = 0, 0
+    d = companion_class(z.ctx)
+    for direction, step in ((1, d), (-1, d.inverse())):
+        cur, k, exceed = one, 0, 0
         while exceed < _HEIGHT_PATIENCE:
-            k += direction
-            cand = d_power_class(z.ctx, k)
-            if cand == z:
+            cur, k = cur * step, k + direction
+            if cur == z:
                 return k
-            if cand.height > target_height:
+            if cur.height > z.height:
                 exceed += 1
             else:
                 exceed = 0
@@ -162,7 +152,7 @@ def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:
     """The order of g's coset in the Laxton group, if it is <= bound."""
     acc = g
     for k in range(1, bound + 1):
-        if laxton_eq(acc, identity_class(g.ctx)) is not None:
+        if _find_d_power(acc) is not None:
             return k
         acc = acc * g
     return None
@@ -273,7 +263,7 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
         return _enumerated_table(t, "primitive noncyclotomic", (2, 2), base)
 
     # non-primitive: t = sign * C_m(u), u primitive, m maximal
-    m, u, sign = maximal_decomposition(t)
+    m, u, sign = report.decomposition
     sub = primitivity(u)
     sub_cls = classify_cyclotomic(u)
     if sub_cls.kind == "cubic":

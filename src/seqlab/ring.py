@@ -40,7 +40,7 @@ _E = TypeVar("_E")
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def check_parameter(t: Fraction, what: str = "t") -> Fraction:
     collapse.  Plain ring arithmetic does not call this.
     """
     t = _frac(t)
-    if t in EXCLUDED_PARAMS:
+    if t.denominator == 1 and t.numerator in EXCLUDED_PARAMS:
         raise DegenerateParameterError("%s = %s is excluded (needs t outside {0, +-1, +-2})" % (what, t))
     return t
 

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seqlab
 from seqlab.cli import build_parser, main
 from seqlab.lab import CSV_HEADER
 
@@ -208,3 +212,17 @@ def test_seq_requires_context(capsys):
     code, _, err = run(capsys, "seq", "--t", "3", "--T", "5", "--Q", "3",
                        "--x", "1,1", "--range", "0..3")
     assert code == 2
+
+
+def test_classify_huge_numerator_over_a_prime_terminates():
+    """den(t) = 3 has exponent gcd 1, so no prime r can give a witness and
+    the constant term, ~10**33, is never trial-divided."""
+    src = os.path.dirname(os.path.dirname(seqlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqlab", "classify", "--t", "1" + "0" * 32 + "1/3", "--format", "json"],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["primitive"] is True and doc["witnesses"] == []

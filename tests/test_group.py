@@ -1,12 +1,15 @@
 """Sequence-group layer: reduction to canonical coprime pairs, group laws,
 square roots, torsion and Chebyshev primitivity."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqlab.errors import DegenerateParameterError, SingularElementError
+from seqlab.primes import primes_below
+from seqlab.rational import divisors
 from seqlab.ring import ParamPair, chebyshev_c, make_element
 from seqlab.group import (
     GroupElement,
@@ -246,3 +249,44 @@ def test_maximal_decomposition_reconstructs():
         m, u, sign = maximal_decomposition(t)
         assert chebyshev_c(u, m) == sign * t
         assert primitivity(u).is_primitive
+
+
+def _exhaustive_witnesses(t):
+    """Reference search: every p/q with q | den(t) and p | d*C_r(0) -+ n."""
+    n, d = t.numerator, t.denominator
+    out = []
+    for r in primes_below(max(3, max(abs(n), d).bit_length()) + 1):
+        c0 = int(chebyshev_c(0, r))
+        for sign in (1, -1):
+            for q in divisors(d):
+                for p in divisors(d * c0 - sign * n):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    for u in (F(p, q), F(-p, q)):
+                        if chebyshev_c(u, r) == sign * t:
+                            out.append((r, u, sign))
+    return out
+
+
+def _witness_grid():
+    ts = {F(num, den) for den in (1, 2, 3, 4, 6, 9, 12, 27) for num in range(-30, 31)}
+    for den in (2, 3, 4, 5):
+        for num in range(-7, 8):
+            u = F(num, den)
+            for r in (2, 3, 5):
+                if den ** r <= 243:
+                    c = chebyshev_c(u, r)
+                    ts.update((c, -c))
+    return sorted(t for t in ts if t not in (0, 1, -1, 2, -2))
+
+
+def test_witness_search_matches_exhaustive_reference():
+    """Only q**r = den(t) is tried; no witness the q | den(t) search finds is lost."""
+    found = 0
+    for t in _witness_grid():
+        rep = primitivity(t)
+        got = [(w.r, w.u, w.sign) for w in rep.witnesses]
+        assert got == _exhaustive_witnesses(t), t
+        assert rep.decomposition == maximal_decomposition(t)
+        found += bool(got)
+    assert found > 100

@@ -193,3 +193,12 @@ def test_xi_hom_context_guard():
     from seqlab.errors import ContextMismatchError
     with pytest.raises(ContextMismatchError):
         xi_hom(GroupElement.from_pair(T3, 1, 4), ParamPair(1, -1))
+
+
+@pytest.mark.parametrize("ctx", [T3, ParamPair(3, 2)])
+@pytest.mark.parametrize("k", [150, -150])
+def test_deep_shift_witness(ctx, k):
+    """The D-power walk reaches shifts far past the hypothesis range."""
+    x = GroupElement.from_pair(ctx, 1, 5)
+    wit = laxton_eq(x, x * companion_class(ctx) ** k)
+    assert wit is not None and wit.k == -k
