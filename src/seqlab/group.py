@@ -4,7 +4,8 @@ Nonsingular ring elements taken modulo nonzero scalars form an abelian group
 (the projectivization of the invertible part of the ring).  Each class holds
 exactly one reduced representative: a coprime integer pair [a0, a1] with
 a1 > 0, or a1 = 0 and a0 > 0.  All group arithmetic happens on these
-representatives.
+representatives, in integers over the common denominator of T and Q; only
+`from_pair` validates (products of nonsingular classes are nonsingular).
 
 The layer enforces the parameter exclusion t not in {0, +-1, +-2} (for a
 two-parameter context the equivalent condition on T**2/Q - 2): at the
@@ -17,11 +18,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import List, Optional, Tuple
 
 from . import primes as _primes
-from .errors import DegenerateParameterError, SingularElementError
+from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
 from .rational import divisors, factorize, is_rational_square, rational_sqrt
 from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, chebyshev_u, _frac
 from .transforms import check_parameter, classify_cyclotomic
@@ -56,13 +57,8 @@ class GroupElement:
         x0, x1 = _frac(x0), _frac(x1)
         if x0 == 0 and x1 == 0:
             raise SingularElementError("the zero pair has no class")
-        lcm = x0.denominator * x1.denominator // gcd(x0.denominator, x1.denominator)
-        a0, a1 = int(x0 * lcm), int(x1 * lcm)
-        g = gcd(a0, a1)
-        a0, a1 = a0 // g, a1 // g
-        if a1 < 0 or (a1 == 0 and a0 < 0):
-            a0, a1 = -a0, -a1
-        el = cls(ctx, a0, a1)
+        L = lcm(x0.denominator, x1.denominator)
+        el = _reduced(ctx, x0.numerator * (L // x0.denominator), x1.numerator * (L // x1.denominator))
         if el.det == 0:
             raise SingularElementError("pair [%s, %s] is singular over %r" % (x0, x1, ctx))
         return el
@@ -80,12 +76,17 @@ class GroupElement:
         return RingElement(self.ctx, Fraction(self.a0), Fraction(self.a1))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        prod = self.ring_element() * other.ring_element()
-        return GroupElement.from_pair(self.ctx, prod.x0, prod.x1)
+        if self.ctx != other.ctx:
+            raise ContextMismatchError("elements over %r and %r" % (self.ctx, other.ctx))
+        L, LT, LQ = _cleared(self.ctx)
+        x0, x1, y0, y1 = self.a0, self.a1, other.a0, other.a1
+        p = x0 * y0
+        return _reduced(self.ctx, L * (x1 * y0 + x0 * y1) - LT * p, L * x1 * y1 - LQ * p)
 
     def inverse(self) -> "GroupElement":
-        conj = self.ring_element().conjugate()
-        return GroupElement.from_pair(self.ctx, conj.x0, conj.x1)
+        """The class of the conjugate (det X) * X**-1."""
+        L, LT, _ = _cleared(self.ctx)
+        return _reduced(self.ctx, -L * self.a0, L * self.a1 - LT * self.a0)
 
     def __pow__(self, n: int) -> "GroupElement":
         base = self if n >= 0 else self.inverse()
@@ -93,6 +94,21 @@ class GroupElement:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<[%d, %d] over (%s, %s)>" % (self.a0, self.a1, self.ctx.T, self.ctx.Q)
+
+
+def _reduced(ctx: ParamPair, a0: int, a1: int) -> GroupElement:
+    """The class of the nonzero integer pair [a0, a1]: coprime, with the sign rule."""
+    g = gcd(a0, a1)
+    if a1 < 0 or (a1 == 0 and a0 < 0):
+        g = -g
+    return GroupElement(ctx, a0 // g, a1 // g)
+
+
+def _cleared(ctx: ParamPair) -> Tuple[int, int, int]:
+    """(L, L*T, L*Q) for the least common denominator L of T and Q."""
+    T, Q = ctx.T, ctx.Q
+    L = lcm(T.denominator, Q.denominator)
+    return L, T.numerator * (L // T.denominator), Q.numerator * (L // Q.denominator)
 
 
 def reduce_element(x: RingElement) -> GroupElement:

@@ -60,6 +60,9 @@ class PrimeWindow:
             raise ValueError("window mode must be 'first' or 'below', got %r" % self.mode)
         if self.size < 1:
             raise ValueError("window size must be positive")
+        # the 10**6-th odd prime is 15 485 867: no window sieves past 16 million
+        if self.size > (10**6 if self.mode == "first" else 16_000_000):
+            raise ValueError("window size is capped at first:1000000 and below:16000000")
 
     @classmethod
     def parse(cls, text: str) -> "PrimeWindow":

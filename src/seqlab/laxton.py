@@ -1,13 +1,12 @@
 """The Laxton group: sequence classes modulo shifting.
 
 Quotienting the sequence group by the cyclic subgroup generated by the
-companion class D identifies a sequence with all of its shifts.  Coset
-equality is decidable: X and Y lie in the same coset iff X*Y^{-1} is a
-D-power class, and a D-power class must have the same height as the
-corresponding reduced D-power (heights of reduced D-powers grow without
-bound), so a bounded search settles it.  Each coset gets a canonical
-representative — the shift of least (height, a0, a1) — which makes coset
-objects hashable and structurally comparable.
+companion class D identifies a sequence with all of its shifts.  Each coset
+gets a canonical representative, the shift of least (height, a0, a1), found
+by one bounded walk (shift heights grow without bound both ways).  It makes
+coset objects hashable and structurally comparable, and decides coset
+equality: X and Y share a coset iff X*Y^{-1} and the identity have the same
+canonical shift.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
     Reduces to recognizing Z = X*Y^{-1} as a D-power class.  The scale is
     the exact scalar with rep(X)*rep(Y)^{-1} = scale * D**k in the ring.
     """
-    if x.ctx != y.ctx:
-        raise ContextMismatchError("elements over %r and %r" % (x.ctx, y.ctx))
     k = _find_d_power(x * y.inverse())
     if k is None:
         return None
@@ -69,28 +66,16 @@ def _find_d_power(z: GroupElement) -> Optional[int]:
     """The k with z = class(D**k), or None.
 
     For one-parameter contexts det z must be a rational square (det D = 1),
-    which filters most misses for free.  Otherwise walk the shifts D**k one
-    product per step in each direction, and stop once their heights exceed
-    height(z) stably: a hit forces equal reduced representatives, hence
-    equal heights.
+    which filters most misses for free.  Otherwise z is a D-power exactly
+    when its coset and the identity's have the same canonical shift:
+    z*D**k_z = D**k_1 gives z = D**(k_1 - k_z), and equal representatives
+    only ever come from one coset.
     """
     if z.ctx.is_one_param and not is_rational_square(z.det):
         return None
-    one = identity_class(z.ctx)
-    if z == one:
-        return 0
-    d = companion_class(z.ctx)
-    for direction, step in ((1, d), (-1, d.inverse())):
-        cur, k, exceed = one, 0, 0
-        while exceed < _HEIGHT_PATIENCE:
-            cur, k = cur * step, k + direction
-            if cur == z:
-                return k
-            if cur.height > z.height:
-                exceed += 1
-            else:
-                exceed = 0
-    return None
+    rep_z, k_z = _canonical_shift(z)
+    rep_1, k_1 = _canonical_shift(identity_class(z.ctx))
+    return k_1 - k_z if rep_z == rep_1 else None
 
 
 @dataclass(frozen=True)
@@ -121,31 +106,32 @@ class LaxtonElement:
 
 
 def canonical_coset_rep(g: GroupElement) -> GroupElement:
-    """The shift g*D**k of least (height, a0, a1): a canonical coset choice.
+    """The shift g*D**k of least (height, a0, a1): a canonical coset choice."""
+    return _canonical_shift(g)[0]
+
+
+def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
+    """(g*D**k, k) for the shift of g of least (height, a0, a1).
 
     Shift heights grow without bound in both directions, so the minimum sits
-    in a finite window; the search extends until heights have exceeded the
-    current best for several consecutive steps on each side.
+    in a finite window; the walk goes one product per step each way and
+    stops once heights have exceeded the current best for several
+    consecutive steps.
     """
-
-    def key(el: GroupElement) -> Tuple[int, int, int]:
-        return (el.height, el.a0, el.a1)
-
     d = companion_class(g.ctx)
-    dinv = d.inverse()
-    best = g
-    for step in (d, dinv):
-        cur, exceed = g, 0
+    best, best_k = g, 0
+    for step, direction in ((d, 1), (d.inverse(), -1)):
+        cur, k, exceed = g, 0, 0
         while exceed < _HEIGHT_PATIENCE:
-            cur = cur * step
-            if key(cur) < key(best):
-                best = cur
+            cur, k = cur * step, k + direction
+            if (cur.height, cur.a0, cur.a1) < (best.height, best.a0, best.a1):
+                best, best_k = cur, k
                 exceed = 0
             elif cur.height > best.height:
                 exceed += 1
             else:
                 exceed = 0
-    return best
+    return best, best_k
 
 
 def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:
@@ -198,13 +184,12 @@ class TorsionTable:
 
 
 def _entry(g: GroupElement, order_bound: int = 24) -> TorsionEntry:
-    el = LaxtonElement.of(g)
+    rep, k = _canonical_shift(g)
     order = laxton_order(g, bound=order_bound)
     if order is None:
         raise ArithmeticError("element %r is not torsion within bound %d" % (g, order_bound))
-    wit = laxton_eq(g, el.rep)
-    assert wit is not None
-    return TorsionEntry(element=el, order=order, coset_witness_k=wit.k)
+    # rep = g*D**k, so g = rep*D**-k
+    return TorsionEntry(element=LaxtonElement(rep), order=order, coset_witness_k=-k)
 
 
 def laxton_torsion(t: RationalLike) -> TorsionTable:
@@ -226,17 +211,13 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
 
     if report.is_primitive:
         base = [identity_class(ctx), class_c(ctx), class_w(t), class_v(t)]
-        if cls.kind == "cubic":
+        if cls.kind == "cubic" or report.circular_primitive:
             extra = [g for g, _ in torsion_l(t)[1:]]
-            w = class_w(t)
-            elements = base + extra + [w * g for g in extra]
-            return _enumerated_table(t, "primitive cubic", (2, 6), elements)
+            elements = base + extra + [class_w(t) * g for g in extra]
+            if cls.kind == "cubic":
+                return _enumerated_table(t, "primitive cubic", (2, 6), elements)
+            return _enumerated_table(t, "primitive circular (circular primitive)", (2, 4), elements)
         if cls.kind == "circular":
-            if report.circular_primitive:
-                extra = [g for g, _ in torsion_l(t)[1:]]
-                w = class_w(t)
-                elements = base + extra + [w * g for g in extra]
-                return _enumerated_table(t, "primitive circular (circular primitive)", (2, 4), elements)
             # t fails circular primitivity, so one of the associates +-a is a
             # 2-power Chebyshev value C_{2**l}(v) with v primitive.
             chain = None
@@ -264,12 +245,11 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
 
     # non-primitive: t = sign * C_m(u), u primitive, m maximal
     m, u, sign = report.decomposition
-    sub = primitivity(u)
     sub_cls = classify_cyclotomic(u)
     if sub_cls.kind == "cubic":
         group_type: Tuple[int, ...] = (2 * m, 6)
         kind = "non-primitive over cubic base"
-    elif sub_cls.kind == "circular" and sub.circular_primitive:
+    elif sub_cls.kind == "circular" and not is_rational_square(2 * (2 + u)):
         group_type = (2 * m, 4)
         kind = "non-primitive over circular primitive base"
     elif sub_cls.kind == "circular":

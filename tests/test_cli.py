@@ -11,7 +11,7 @@ import pytest
 
 import seqlab
 from seqlab.cli import build_parser, main
-from seqlab.lab import CSV_HEADER
+from seqlab.lab import CSV_HEADER, PrimeWindow
 
 
 def run(capsys, *argv):
@@ -192,6 +192,33 @@ def test_nonpositive_prime_count_is_a_usage_error(capsys, count):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "window size must be positive" in err
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["divisors", "--t", "3", "--x", "1,4", "--window", "first:" + HUGE],
+    ["divisors", "--t", "3", "--x", "1,4", "--window", "below:" + HUGE],
+    ["table3", "--primes", HUGE],
+    ["table3", "--window", "first:1000001"],
+    ["partition", "--t", "3", "--x", "1,4", "--window", "below:16000001"],
+])
+def test_huge_window_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "capped at first:1000000 and below:16000000" in err
+
+
+def test_window_caps_are_inclusive():
+    """Construct the largest windows without sieving them."""
+    assert PrimeWindow.parse("first:1000000").size == 10**6
+    assert PrimeWindow("below", 16_000_000).size == 16_000_000
+    for mode, size in (("first", 10**6 + 1), ("below", 16_000_001)):
+        with pytest.raises(ValueError):
+            PrimeWindow(mode, size)
 
 
 def test_argparse_rejections():

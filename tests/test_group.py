@@ -2,12 +2,13 @@
 square roots, torsion and Chebyshev primitivity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab.errors import DegenerateParameterError, SingularElementError
+from seqlab.errors import ContextMismatchError, DegenerateParameterError, SingularElementError
 from seqlab.primes import primes_below
 from seqlab.rational import divisors
 from seqlab.ring import ParamPair, chebyshev_c, make_element
@@ -95,6 +96,49 @@ def test_group_laws(x, data):
     assert (x ** 3) == x * x * x
     assert (x ** -2) == (x.inverse()) ** 2
     assert x ** 0 == identity_class(ctx)
+
+
+# integer and fractional t, negative Q, T or Q with a denominator, and
+# (-5, 5), where the class of D**-2 is [-1, 1]
+PRODUCT_CONTEXTS = [ParamPair.one_param(t) for t in (F(3), F(-3), F(7), F(19, 3), F(6, 5), F(11, 7))] + [
+    ParamPair(3, -2), ParamPair(2, -5), ParamPair(F(7, 2), F(5, 3)), ParamPair(3, F(2, 7)),
+    ParamPair(F(-1, 4), -3), ParamPair(-5, 5),
+]
+
+
+def _random_class(rng, ctx):
+    while True:
+        x0, x1 = F(rng.randint(-40, 40), rng.randint(1, 9)), F(rng.randint(-40, 40), rng.randint(1, 9))
+        x = make_element(ctx, x0, x1)
+        if x.det != 0:
+            return reduce_element(x)
+
+
+def test_integer_product_matches_ring_arithmetic():
+    """Class products and inverses agree with the ring product and conjugate."""
+    rng = random.Random(20261019)
+    for ctx in PRODUCT_CONTEXTS:
+        for _ in range(150):
+            x, y = _random_class(rng, ctx), _random_class(rng, ctx)
+            assert x * y == reduce_element(x.ring_element() * y.ring_element())
+            assert x.inverse() == reduce_element(x.ring_element().conjugate())
+            # deep products leave the small pairs the draws cover
+            z = x * y * x * y.inverse()
+            assert z == reduce_element(x.ring_element() ** 2)
+
+
+def test_product_across_contexts_rejected():
+    x = GroupElement.from_pair(T3, 1, 4)
+    for ctx in (ParamPair.one_param(F(19, 3)), ParamPair(3, 2)):
+        with pytest.raises(ContextMismatchError):
+            x * GroupElement.from_pair(ctx, 1, 4)
+
+
+def test_from_pair_rejects_t_zero_rings():
+    """T = 0 rings exist, but their split parameter -2 (or t = 0) is excluded."""
+    for ctx in (ParamPair(0, 3), ParamPair(0, F(-2, 5)), ParamPair.one_param(0)):
+        with pytest.raises(DegenerateParameterError):
+            GroupElement.from_pair(ctx, 1, 4)
 
 
 @given(group_elements())

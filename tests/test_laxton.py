@@ -1,11 +1,14 @@
 """Laxton quotient: shift-equivalence with exact witnesses, canonical coset
 representatives, torsion tables, and the quotient homomorphisms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqlab.group
+from seqlab.rational import is_rational_square
 from seqlab.ring import ParamPair, chebyshev_u
 from seqlab.group import (
     GroupElement,
@@ -14,9 +17,11 @@ from seqlab.group import (
     class_w,
     companion_class,
     identity_class,
+    torsion_l,
 )
 from seqlab.laxton import (
     LaxtonElement,
+    _entry,
     canonical_coset_rep,
     laxton_eq,
     laxton_order,
@@ -152,6 +157,11 @@ def test_torsion_table_nonprimitive():
     tab = laxton_torsion(123)
     assert tab.group_type == (10, 2)
     assert sorted(e.order for e in tab.entries) == [1, 5, 5, 5, 5]
+    # over circular bases: 6/5 is circular primitive, 48/25 is not
+    tab = laxton_torsion(F(-14, 25))  # C_2(6/5)
+    assert tab.kind == "non-primitive over circular primitive base" and tab.group_type == (4, 4)
+    tab = laxton_torsion(F(20592, 15625))  # C_3(48/25)
+    assert tab.kind == "non-primitive over degenerate circular base" and tab.group_type == ()
 
 
 def test_xi_kernel_classes():
@@ -202,3 +212,91 @@ def test_deep_shift_witness(ctx, k):
     x = GroupElement.from_pair(ctx, 1, 5)
     wit = laxton_eq(x, x * companion_class(ctx) ** k)
     assert wit is not None and wit.k == -k
+
+
+def _reference_d_power(z):
+    """The walk from the identity: D**k, one product per step each way,
+    until the heights have passed height(z) three steps in a row."""
+    if z.ctx.is_one_param and not is_rational_square(z.det):
+        return None
+    one = identity_class(z.ctx)
+    if z == one:
+        return 0
+    d = companion_class(z.ctx)
+    for direction, step in ((1, d), (-1, d.inverse())):
+        cur, k, exceed = one, 0, 0
+        while exceed < 3:
+            cur, k = cur * step, k + direction
+            if cur == z:
+                return k
+            exceed = exceed + 1 if cur.height > z.height else 0
+    return None
+
+
+WALK_CONTEXTS = [ParamPair.one_param(t) for t in (F(3), F(-3), F(7), F(19, 3), F(6, 5), F(11, 7))] + [
+    ParamPair(3, -2), ParamPair(2, -5), ParamPair(F(7, 2), F(5, 3)), ParamPair(3, F(2, 7)), ParamPair(-5, 5),
+]
+
+
+def _small_class(rng, ctx):
+    while True:
+        a0, a1 = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))
+        if a1 * a1 - ctx.T * a0 * a1 + ctx.Q * a0 * a0 != 0:
+            return GroupElement.from_pair(ctx, a0, a1)
+
+
+def test_canonical_walk_matches_reference_search():
+    """laxton_eq and laxton_order agree with the walk from the identity."""
+    rng = random.Random(611)
+    hits = 0
+    for ctx in WALK_CONTEXTS:
+        d = companion_class(ctx)
+        for _ in range(40):
+            x = _small_class(rng, ctx)
+            y = x * d ** rng.randint(-12, 12) if rng.random() < 0.5 else _small_class(rng, ctx)
+            wit = laxton_eq(x, y)
+            ref = _reference_d_power(x * y.inverse())
+            assert (None if wit is None else wit.k) == ref
+            hits += ref is not None
+            order = next((n for n in range(1, 9) if _reference_d_power(x ** n) is not None), None)
+            assert laxton_order(x, bound=8) == order
+    assert hits > 150
+
+
+def test_identity_coset_rep_below_the_identity():
+    """At (-5, 5) the class of D**-2 is [-1, 1], which beats the identity's key."""
+    ctx = ParamPair(-5, 5)
+    d2 = companion_class(ctx) ** -2
+    assert (d2.a0, d2.a1) == (-1, 1)
+    assert canonical_coset_rep(identity_class(ctx)) == d2
+    wit = laxton_eq(identity_class(ctx), identity_class(ctx))
+    assert wit is not None and wit.k == 0 and wit.scale == 1
+    assert laxton_eq(d2, identity_class(ctx)).k == -2
+
+
+@pytest.mark.parametrize("t, u, m", [(F(3), None, 1), (F(6, 5), None, 1), (F(11, 7), None, 1),
+                                      (F(7), F(3), 2), (F(18), F(3), 3), (F(47), F(3), 4)])
+def test_torsion_witness_k_is_the_laxton_witness(t, u, m):
+    """Each enumerated entry's coset_witness_k is laxton_eq(g, rep).k."""
+    ctx = ParamPair.one_param(t)
+    if u is None:
+        extra = [g for g, _ in torsion_l(t)[1:]]
+        elements = [identity_class(ctx), class_c(ctx), class_w(t), class_v(t)]
+        elements += extra + [class_w(t) * g for g in extra]
+    else:
+        elements = list(xi_n_kernel(u, m))
+    entries = set()
+    for g in elements:
+        e = _entry(g, order_bound=max(24, 2 * m))
+        assert e.coset_witness_k == laxton_eq(g, e.element.rep).k
+        entries.add(e)
+    assert set(laxton_torsion(t).entries) <= entries
+
+
+def test_torsion_searches_the_base_once(monkeypatch):
+    """torsion at t = 7 = C_2(3) runs the witness search for 3 once."""
+    calls = []
+    search = seqlab.group._chebyshev_witnesses
+    monkeypatch.setattr(seqlab.group, "_chebyshev_witnesses", lambda t: calls.append(t) or search(t))
+    assert laxton_torsion(7).group_type == (4, 2)
+    assert calls.count(F(3)) == 1
