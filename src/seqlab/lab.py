@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,9 +75,13 @@ class PrimeWindow:
         return cls(mode="first", size=int(text))
 
     def primes(self) -> List[int]:
-        if self.mode == "first":
-            return first_odd_primes(self.size)
-        return odd_primes_below(self.size)
+        return list(self._sieved)
+
+    @cached_property
+    def _sieved(self) -> Tuple[int, ...]:
+        # one sieve per window object, so the sweeps of one table3 share it
+        sieve = first_odd_primes if self.mode == "first" else odd_primes_below
+        return tuple(sieve(self.size))
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "size": self.size}
@@ -88,7 +93,8 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     Window primes come from the sieve and are odd, so each needs only the
     remainder of exclusion_modulus(t).
     """
-    modulus = exclusion_modulus(_frac(t))
+    t = _frac(t)
+    modulus = exclusion_modulus(t.numerator, t.denominator)
     eligible, excluded = [], []
     for p in window.primes():
         (eligible if modulus % p else excluded).append(p)

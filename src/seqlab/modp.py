@@ -9,18 +9,19 @@ nonvanishing determinant form a cyclic group of order
 
 Element orders in that group drive the whole divisor theory: p divides some
 term of the sequence carried by X exactly when ord_p(X) divides ord_p(D),
-that is, when X**m is a scalar mod p for m = ord_p(D).  So a divisor test
-costs one exponentiation per element, and m is found once per (t, p).
+that is, when X**m is a scalar mod p for m = ord_p(D).
 
-m comes from a descent over the factors of N that tests "D**n is scalar" as
-V_n(t, 1) = +-2 (mod p), V being the Lucas sequence V_0 = 2, V_1 = t.  The
-eigenvalues a, 1/a of D are distinct because delta != 0 mod p, so D**n is
-scalar iff a**n = +-1, iff V_n = a**n + a**-n = +-2.  V_n comes from a
-Lucas-chain ladder of two modular products per bit and no inverses
-(Montgomery 1992, "Evaluating recurrences of form X_{m+n} = f(X_m, X_n,
-X_{m-n}) via Lucas chains"; Joye and Quisquater 1996, "Efficient
-computation of full Lucas sequences"), and V_q(V_n(t)) = V_qn(t) lets each
-step of the descent go on from the last value.
+Both tests run on one Lucas-chain ladder for V_n(s) = V_n(s, 1): two modular
+products per bit and no inverses (Montgomery 1992, "Evaluating recurrences
+of form X_{m+n} = f(X_m, X_n, X_{m-n}) via Lucas chains"; Joye and Quisquater
+1996, "Efficient computation of full Lucas sequences").  For X = a1 + a0*e
+(e**2 + t*e + 1 = 0) with eigenvalue ratio z, X**m is a scalar iff z**m = 1,
+and z + 1/z = tr**2/det - 2 (tr = 2*a1 - t*a0, det = a1**2 - t*a0*a1 + a0**2);
+as w + 1/w = 2 iff w = 1, the test is det != 0 and V_m(tr**2/det - 2) = 2.
+A scalar (a0 = 0, the one case of equal eigenvalues, as tr**2 - 4*det =
+a0**2 * (t**2 - 4)) gives V_m(2) = 2.  m is found once per (t, p) by a descent
+over the factors of N: D**n is a scalar iff V_n(t) = +-2, and
+V_q(V_n(t)) = V_qn(t) lets each step go on from the last value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
@@ -40,16 +41,17 @@ from .transforms import check_parameter
 
 def in_admissible_set(t: RationalLike, p: int) -> bool:
     """Whether p belongs to the admissible prime set of t."""
-    return p != 2 and _primes.is_prime(p) and exclusion_modulus(_frac(t)) % p != 0
+    t = _frac(t)
+    return p != 2 and _primes.is_prime(p) and exclusion_modulus(t.numerator, t.denominator) % p != 0
 
 
-def exclusion_modulus(t: Fraction) -> int:
-    """An odd prime is admissible for t iff it does not divide this integer.
+def exclusion_modulus(n: int, d: int) -> int:
+    """An odd prime is admissible for t = n/d in lowest terms iff it does
+    not divide this integer.
 
     It is the product of the numerator and denominator of t and the
     numerator of t**2 - 4 (zero when t is 0 or +-2: then no prime is).
     """
-    n, d = t.numerator, t.denominator
     return n * d * (n * n - 4 * d * d)
 
 
@@ -67,20 +69,17 @@ class ModpContext:
     companion_order: int
 
 
-@lru_cache(maxsize=None)
-def _modp_context(t: Fraction, p: int) -> ModpContext:
-    check_parameter(t)
-    if not in_admissible_set(t, p):
-        raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, t))
-    t_p = t.numerator * pow(t.denominator, -1, p) % p
-    delta_p = (t_p * t_p - 4) % p
-    is_qr = pow(delta_p, (p - 1) // 2, p) == 1
-    n = p - 1 if is_qr else p + 1
-    factors = tuple(sorted(factorize(n).items()))
-    return ModpContext(
-        t=t, p=p, t_p=t_p, delta_p=delta_p, group_order=n, order_factors=factors,
-        companion_order=_companion_order(t_p, p, n, factors),
-    )
+# Integer keys, so no Fraction is hashed; 1 << 14 rows hold a table3 window
+# (6 x <= 1 232 rows) and an explore pass (about 8 900 rows) for a re-run.
+@lru_cache(maxsize=1 << 14)
+def _row(num: int, den: int, p: int) -> Tuple[int, int, int]:
+    """(t_p, N, ord_p(D)) for t = num/den in lowest terms, after checking
+    that p is admissible for t."""
+    if p == 2 or exclusion_modulus(num, den) % p == 0 or not _primes.is_prime(p):
+        raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, Fraction(num, den)))
+    t_p = num * pow(den, -1, p) % p
+    n = p - 1 if pow(t_p * t_p - 4, (p - 1) // 2, p) == 1 else p + 1
+    return t_p, n, _companion_order(t_p, p, n, factorize(n).items())
 
 
 def _lucas_v(s: int, p: int, n: int) -> int:
@@ -94,7 +93,7 @@ def _lucas_v(s: int, p: int, n: int) -> int:
     return v
 
 
-def _companion_order(t_p: int, p: int, n: int, factors: Tuple[Tuple[int, int], ...]) -> int:
+def _companion_order(t_p: int, p: int, n: int, factors: Iterable[Tuple[int, int]]) -> int:
     """ord_p(D) in the group of order n: strip each prime power q**e off the
     order, then put back the factors q that D still needs to become scalar."""
     m = n
@@ -108,7 +107,12 @@ def _companion_order(t_p: int, p: int, n: int, factors: Tuple[Tuple[int, int], .
 
 
 def modp_context(t: RationalLike, p: int) -> ModpContext:
-    return _modp_context(_frac(t), p)
+    t = check_parameter(_frac(t))
+    t_p, n, m = _row(t.numerator, t.denominator, p)
+    return ModpContext(
+        t=t, p=p, t_p=t_p, delta_p=(t_p * t_p - 4) % p, group_order=n,
+        order_factors=tuple(sorted(factorize(n).items())), companion_order=m,
+    )
 
 
 @dataclass(frozen=True)
@@ -196,25 +200,22 @@ def xi(t: RationalLike, p: int) -> int:
     return _ord(ctx, _normalize(p, (p - 1, 1)))
 
 
-def _in_companion_subgroup(t_p: int, p: int, bits: str, a0: int, a1: int) -> bool:
-    """Whether the class (a0, a1) is nonsingular mod p and its power x**m is
-    a scalar (a0 component 0), where bits = bin(m)[3:]; no inverses taken."""
+def _power_is_scalar(t_p: int, p: int, m: int, a0: int, a1: int) -> bool:
+    """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar:
+    det != 0 and V_m(tr**2/det - 2) = 2 (see the module docstring)."""
     a0, a1 = a0 % p, a1 % p
-    if _det(t_p, p, (a0, a1)) == 0:
+    det = _det(t_p, p, (a0, a1))
+    if det == 0:
         return False
-    y0, y1 = a0, a1
-    for bit in bits:
-        y0, y1 = y0 * (2 * y1 - t_p * y0) % p, (y1 * y1 - y0 * y0) % p
-        if bit == "1":
-            y0, y1 = (y1 * a0 + y0 * a1 - t_p * y0 * a0) % p, (y1 * a1 - y0 * a0) % p
-    return y0 == 0
+    tr = 2 * a1 - t_p * a0
+    return _lucas_v((tr * tr * pow(det, -1, p) - 2) % p, p, m) == 2
 
 
 def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """is_divisor(x, p) for each element x, one row per prime p.
 
-    Each row looks up one context per distinct t; each element then costs
-    one exponentiation.
+    Each row looks up (t_p, N, m) once per distinct t; each element then
+    costs one ladder.
     """
     params: Dict[Fraction, int] = {}
     columns = []
@@ -222,14 +223,12 @@ def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> Li
         if not x.ctx.is_one_param:
             raise ExcludedPrimeError("divisor test takes one-parameter classes")
         columns.append((params.setdefault(x.ctx.T, len(params)), x.a0, x.a1))
+    keys = [(t.numerator, t.denominator) for t in map(check_parameter, params)]
     table = []
     for p in primes:
-        per_t = []
-        for t in params:
-            ctx = modp_context(t, p)
-            per_t.append((ctx.t_p, bin(ctx.companion_order)[3:]))
+        rows = [_row(num, den, p) for num, den in keys]
         table.append(tuple([
-            _in_companion_subgroup(per_t[i][0], p, per_t[i][1], a0, a1) for i, a0, a1 in columns
+            _power_is_scalar(rows[i][0], p, rows[i][2], a0, a1) for i, a0, a1 in columns
         ]))
     return table
 

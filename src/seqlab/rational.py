@@ -14,15 +14,27 @@ from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 
+_TOO_LONG = 10**1000  # the least value of over 1000 digits
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" (or plain "a") into a Fraction, ignoring whitespace.
 
-    Raises ValueError on malformed input, including a zero denominator.
+    Raises ValueError on malformed input, including a zero denominator and
+    parts of over 1000 digits ("1e999999999"), which keeps what the sweeps
+    print within the 4300 digits Python prints of an int.
     """
+    text = text.replace(" ", "")
+    exponent = text.lower().partition("e")[2].replace("_", "")
+    if exponent.lstrip("+-").isdigit() and abs(int(exponent)) > 1000:
+        raise ValueError("exponent out of range in %r" % text)
     try:
-        return Fraction(text.replace(" ", ""))
+        x = Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text)
+    if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+        raise ValueError("more than 1000 digits in %r" % text)
+    return x
 
 
 def format_rational(x: Fraction) -> str:

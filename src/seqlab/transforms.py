@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Tuple
 
 from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
@@ -63,7 +64,8 @@ def is_simple(T: int, Q: int) -> bool:
         return False
     from .rational import factorize
 
-    return all(Q % (p * p) != 0 for p in factorize(T))
+    # such a prime divides gcd(T, Q): factor that, not a huge T
+    return all(Q % (p * p) != 0 for p in factorize(gcd(T, Q)))
 
 
 def simple_reduce(T: RationalLike, Q: RationalLike) -> Tuple[ParamPair, ParamPair]:

@@ -1,13 +1,17 @@
 """Command-line interface: argument handling, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import seqlab
 from seqlab.cli import build_parser, main
@@ -253,3 +257,97 @@ def test_classify_huge_numerator_over_a_prime_terminates():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["primitive"] is True and doc["witnesses"] == []
+
+
+def test_independence_huge_prime_T(capsys):
+    """is_simple factors gcd(T, Q), not a 20-digit prime T."""
+    code, out, err = run(capsys, "independence", "--T", "18446744073709551557", "--Q", "3",
+                         "--x", "1,2", "--window", "first:20", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["T"] == 18446744073709551557
+
+
+# ---------------------------------------------------------------------------
+# the sweep grammar under fuzzing
+# ---------------------------------------------------------------------------
+
+_SMALL = st.integers(-40, 40).map(str)
+_HUGE_INT = st.one_of(st.integers(-10**40, 10**40), st.integers(-10**999, 10**999)).map(str)
+_RATIONAL = st.tuples(st.integers(-10**40, 10**40), st.integers(1, 10**40)).map("{0[0]}/{0[1]}".format)
+# circular t = 2(v^2 - u^2)/(v^2 + u^2) and cubic t = 2(v^2 - 3u^2)/(v^2 + 3u^2)
+_CYCLOTOMIC = st.tuples(st.sampled_from([1, 3]), st.integers(1, 50), st.integers(1, 50)).map(
+    lambda k: "%d/%d" % (2 * (k[2] ** 2 - k[0] * k[1] ** 2), k[2] ** 2 + k[0] * k[1] ** 2))
+_SPECIAL = st.sampled_from([
+    "0", "1", "-2", "5/2", "11/7", "-22/13", "-6/5", "19/3", "1/0", "0/5", "3/-4",
+    "1.5", "-2.5e-30", "1e40", "1e999", "1e999999999", "-1e-5000", "1" + "0" * 1000,
+    "", " ", "x", "1/", "/3", "1/2/3", "--", "nan", "inf", "3,4",
+])
+_VALUE = st.one_of(_SMALL, _HUGE_INT, _RATIONAL, _CYCLOTOMIC, _SPECIAL)
+# --Q draws no huge integer that --T could share: a 20-digit prime common to
+# both would have is_simple factor it by trial division (see CHANGES.md)
+_Q_VALUE = st.one_of(_SMALL, _SPECIAL, _RATIONAL.filter(lambda q: Fraction(q).denominator > 1))
+_PAIR = st.one_of(
+    st.tuples(_SMALL, _SMALL).map(",".join),
+    st.tuples(_VALUE, _VALUE).map(",".join),
+    st.sampled_from(["0,0", "1,2", "2,1", "1,1", "-1,1", "1", "1,2,3", ",", "a,b"]),
+)
+_WINDOW = st.one_of(
+    st.tuples(st.just("--window"), st.integers(1, 300).map("first:{}".format)),
+    st.tuples(st.just("--window"), st.integers(1, 2000).map("below:{}".format)),
+    st.tuples(st.just("--primes"), st.integers(1, 300).map(str)),
+    st.tuples(st.sampled_from(["--window", "--primes"]), st.sampled_from([
+        "0", "-3", "first:0", "below:-3", "first:" + "9" * 25, "below:" + "9" * 25, "9" * 25,
+        "first:", "mid:5", "below:x", "first:1:2", "",
+    ])),
+)
+
+
+def _optional(name, values):
+    return st.one_of(st.none(), st.tuples(st.just(name), values))
+
+
+@st.composite
+def sweep_argv(draw):
+    command = draw(st.sampled_from(["divisors", "partition", "partition --cubic", "independence", "table3"]))
+    parts = [
+        st.one_of(st.none(), _WINDOW),
+        _optional("--format", st.sampled_from(["text", "json", "csv", "xml"])),
+        _optional("--parallel", st.sampled_from(["1", "0", "-2", "x"])),  # none starts a pool
+    ]
+    if command in ("independence", "table3"):
+        parts += [st.sampled_from([None, "--full"]), _optional("--convention", st.sampled_from(["pi_t", "all"]))]
+    if command == "independence":
+        parts += [
+            st.tuples(st.just("--T"), st.one_of(_SMALL, _HUGE_INT, _VALUE)),
+            st.tuples(st.just("--Q"), st.one_of(_SMALL, _Q_VALUE)),
+            st.tuples(st.just("--x"), _PAIR),
+        ]
+    elif command == "partition --cubic":
+        parts += [st.tuples(st.just("--t"), _VALUE), _optional("--x", _PAIR)]
+    elif command != "table3":
+        parts += [st.tuples(st.just("--t"), _VALUE), st.tuples(st.just("--x"), _PAIR)]
+    argv = command.split()
+    for part in parts:
+        value = draw(part)
+        if isinstance(value, tuple):
+            argv += list(value)
+        elif value is not None:
+            argv.append(value)
+    return argv
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sweep_argv())
+def test_sweep_grammar_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith(("error:", "usage:")), (argv, err.getvalue())
+    assert elapsed < 10, (argv, elapsed)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqlab import lab
 from seqlab.errors import DegenerateParameterError
 from seqlab.ring import ParamPair
 from seqlab.group import GroupElement
@@ -165,6 +166,16 @@ def test_table3_reproduces_references():
         ref = r.reference
         for got, want in zip((dens["x"], dens["wx"], dens["intersection"], dens["product"]), ref):
             assert abs(got - want) < 0.01, (r.T, r.Q, got, want)
+
+
+@pytest.mark.parametrize("mode, size, sieve", [("first", 200, "first_odd_primes"), ("below", 1500, "odd_primes_below")])
+def test_table3_sieves_once(monkeypatch, mode, size, sieve):
+    calls = []
+    real = getattr(lab, sieve)
+    monkeypatch.setattr(lab, sieve, lambda bound: calls.append(bound) or real(bound))
+    reports = table3(PrimeWindow(mode, size))
+    assert calls == [size]
+    assert len({r.total_primes for r in reports}) == 1
 
 
 def test_best_reference_deviation_prefers_pi_t():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqlab import modp
 from seqlab.errors import ExcludedPrimeError, SingularElementError
 from seqlab.ring import ParamPair
 from seqlab.transforms import classify_cyclotomic
@@ -328,3 +329,96 @@ def test_divisor_flags_parallel_equals_serial():
     primes = [p for p in odd_primes_below(1500) if in_admissible_set(t, p)]
     assert len(primes) >= 64  # below that the serial path runs
     assert divisor_flags(elements, primes, processes=2) == divisor_flags(elements, primes)
+
+
+# ---------------------------------------------------------------------------
+# the ladder test against a literal term scan
+# ---------------------------------------------------------------------------
+
+
+def period_scan_divides(t, a0, a1, p):
+    """Does p divide some x_n? Step x_{n+1} = t*x_n - x_{n-1} mod p until
+    the state (x_n, x_{n+1}) comes back to (x_0, x_1)."""
+    tp = t_mod_p(t, p)
+    start = a, b = a0 % p, a1 % p
+    while a != 0:
+        a, b = b, (tp * b - a) % p
+        if (a, b) == start:
+            return False
+    return True
+
+
+def random_parameter(rng, kind):
+    """A random t of the given kind; circular and cubic t come from m = u/v."""
+    u, v = rng.randint(1, 30), rng.randint(1, 30)
+    return {
+        "integer": F(rng.choice([-1, 1]) * rng.randint(3, 60)),
+        "fractional": F(rng.randint(-200, 200), rng.randint(2, 40)),
+        "circular": F(2 * (v * v - u * u), v * v + u * u),
+        "cubic": F(2 * (v * v - 3 * u * u), v * v + 3 * u * u),
+    }[kind]
+
+
+def special_pairs(t, p):
+    """Integer pairs that are singular, scalar or traceless mod p."""
+    tp = t_mod_p(t, p)
+    pairs = [(p, 1), (3 * p, -2), (2, tp), (2 * t.denominator, t.numerator)]
+    roots = [r for r in range(p) if (r * r - tp * r + 1) % p == 0]  # det(1, r) = 0 mod p
+    return pairs + [(1, r) for r in roots] + [(1, r + p) for r in roots]
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "circular", "cubic"])
+def test_ladder_test_matches_period_scan(kind):
+    rng = random.Random(0x5EED + len(kind))
+    primes = odd_primes_below(600)
+    cases = 0
+    while cases < 60:
+        t = random_parameter(rng, kind)
+        p = rng.choice(primes)
+        if t in (0, 1, -1, 2, -2) or not in_admissible_set(t, p):
+            continue
+        assert classify_cyclotomic(t).kind == kind or kind in ("integer", "fractional")
+        ctx = ParamPair.one_param(t)
+        pairs = special_pairs(t, p) + [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(8)]
+        elements = []
+        for a0, a1 in pairs:
+            if (a0, a1) != (0, 0) and a1 * a1 - t * a0 * a1 + a0 * a0 != 0:
+                elements.append(GroupElement.from_pair(ctx, a0, a1))
+        (row,) = divisor_table(elements, [p])
+        assert row == tuple(period_scan_divides(t, x.a0, x.a1, p) for x in elements), (t, p)
+        cases += 1
+
+
+def test_ladder_test_special_classes():
+    """Singular classes never divide, scalar classes always do, and a
+    traceless class (z = -1) divides exactly when ord_p(D) is even."""
+    parities = set()
+    for t in (F(3), F(19, 3), F(-6, 5), F(11, 7)):
+        ctx = ParamPair.one_param(t)
+        for p in odd_primes_below(400):
+            if not in_admissible_set(t, p):
+                continue
+            m = ord_companion(t, p)
+            tp = t_mod_p(t, p)
+            scalar = GroupElement.from_pair(ctx, p, 1)
+            traceless = [GroupElement.from_pair(ctx, 2, tp), GroupElement.from_pair(ctx, 2 * t.denominator, t.numerator)]
+            singular = [GroupElement.from_pair(ctx, 1, r) for r in range(p) if (r * r - tp * r + 1) % p == 0]
+            (row,) = divisor_table([scalar] + traceless + singular, [p])
+            assert row == (True,) + (m % 2 == 0,) * 2 + (False,) * len(singular), (t, p)
+            parities.add(m % 2)
+    assert parities == {0, 1}
+
+
+def test_row_cache_is_bounded():
+    caches = [f for f in vars(modp).values() if hasattr(f, "cache_info")]
+    assert caches == [modp._row]
+    assert all(f.cache_info().maxsize is not None for f in caches)
+    assert modp._row.cache_info().maxsize >= 6 * 1232  # one table3 window of six rows
+
+
+def test_excluded_prime_messages():
+    x = GroupElement.from_pair(T3, 1, 4)
+    y = GroupElement.from_pair(ParamPair.one_param(F(19, 3)), 2, 9)
+    for elem, p, t in ((x, 2, "3"), (x, 5, "3"), (x, 9, "3"), (y, 13, "19/3"), (y, 19, "19/3"), (y, 21, "19/3")):
+        with pytest.raises(ExcludedPrimeError, match=r"^p = %d is not admissible for t = %s$" % (p, t)):
+            divisor_table([elem], [7, p])

@@ -23,6 +23,11 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+    assert parse_rational("-2.5e-3") == Fraction(-1, 400)
+    assert parse_rational("9" * 1000) == 10**1000 - 1
+    for text in ("1e999999999", "1e1_000_000_000", "1e-1001", "1" + "0" * 1000):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_format_rational():
