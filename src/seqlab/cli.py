@@ -2,7 +2,7 @@
 
 Every subcommand prints text by default and supports --format json (and csv
 where tabular output makes sense).  Exit codes: 0 on success, 2 for invalid
-or excluded input, 1 for internal errors.
+or excluded input, 1 for a violated arithmetic invariant (InvariantError).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import SeqLabError
+from .errors import InvariantError, SeqLabError
 from .rational import format_rational, parse_rational
 from .ring import ParamPair, make_element
 from .transforms import classify_cyclotomic, check_parameter
@@ -138,19 +138,21 @@ def cmd_seq(args: argparse.Namespace) -> int:
     ctx = _context(args)
     x = make_element(ctx, *args.x)
     lo, hi = args.range
-    terms = x.terms(lo, hi + 1)
+    # format every term before printing any, so a term too long to print
+    # fails with nothing on stdout
+    terms = [[n, format_rational(v)] for n, v in zip(range(lo, hi + 1), x.terms(lo, hi + 1))]
     if args.format == "json":
         payload = {
             "context": ctx.to_dict(),
             "x": [format_rational(x.x0), format_rational(x.x1)],
             "range": [lo, hi],
-            "terms": [[n, format_rational(v)] for n, v in zip(range(lo, hi + 1), terms)],
+            "terms": terms,
         }
         return _emit_json(payload)
     if args.format == "csv":
-        return _emit_csv(["n", "value"], [[n, format_rational(v)] for n, v in zip(range(lo, hi + 1), terms)])
-    for n, v in zip(range(lo, hi + 1), terms):
-        print("x_%d = %s" % (n, format_rational(v)))
+        return _emit_csv(["n", "value"], terms)
+    for n, v in terms:
+        print("x_%d = %s" % (n, v))
     return 0
 
 
@@ -449,7 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SeqLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except InvariantError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

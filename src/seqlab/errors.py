@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so that callers (and the CLI) can treat
-"bad input" uniformly, while tests can still pin down the precise failure.
+Input and domain errors derive from ValueError (through SeqLabError) so that
+callers (and the CLI, with exit 2) can treat "bad input" uniformly, while
+tests can still pin down the precise failure.  InvariantError, an
+ArithmeticError, reports a computed result that broke a theorem the package
+checks; the CLI maps it, and nothing else, to exit 1.
 """
 
 
@@ -32,3 +35,8 @@ class DegenerateParameterError(SeqLabError):
 class ExcludedPrimeError(SeqLabError):
     """A prime outside the admissible set for the given parameter (p = 2, or
     p divides a numerator/denominator of t or t^2 - 4)."""
+
+
+class InvariantError(ArithmeticError):
+    """A computed result broke a theorem the package checks (a partition
+    off its divisor set, a torsion count off its group type)."""

@@ -21,7 +21,7 @@ from functools import cached_property
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
 from .ring import ParamPair, RationalLike, _frac
 from .transforms import classify_cyclotomic, is_simple
@@ -196,14 +196,14 @@ def partition_six(x: GroupElement, window: PrimeWindow, processes: Optional[int]
         if in_sq:
             gamma_sq.append(p)
         if len(hits) > 1:
-            raise ArithmeticError("partition cells overlap at p = %d: %s" % (p, hits))
+            raise InvariantError("partition cells overlap at p = %d: %s" % (p, hits))
         if bool(hits) != in_sq:
-            raise ArithmeticError("partition does not match Gamma(X^2) at p = %d" % p)
+            raise InvariantError("partition does not match Gamma(X^2) at p = %d" % p)
         if hits:
             cells[hits[0]].append(p)
             guard = guards.get(hits[0])
             if guard is not None and not row[guard]:
-                raise ArithmeticError("subset relation fails at p = %d for cell %s" % (p, hits[0]))
+                raise InvariantError("subset relation fails at p = %d for cell %s" % (p, hits[0]))
     return SixPartition(
         t=t, window=window, eligible_count=len(eligible), excluded=tuple(excluded),
         cells={k: tuple(vv) for k, vv in cells.items()}, gamma_square=tuple(gamma_sq),
@@ -260,14 +260,14 @@ def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[in
     for p, row in zip(eligible, flags):
         in_s, in_ws, in_y, in_wy, in_cs = row
         if in_y != in_cs:
-            raise ArithmeticError("Gamma(CS) differs from Gamma(Y) at p = %d" % p)
+            raise InvariantError("Gamma(CS) differs from Gamma(Y) at p = %d" % p)
         if in_s:
             gamma_s.append(p)
         hits = [name for name, flag in (("ws", in_ws), ("y", in_y), ("wy", in_wy)) if flag]
         if len(hits) > 1:
-            raise ArithmeticError("cubic partition cells overlap at p = %d: %s" % (p, hits))
+            raise InvariantError("cubic partition cells overlap at p = %d: %s" % (p, hits))
         if bool(hits) != in_s:
-            raise ArithmeticError("cubic partition does not match Gamma(S) at p = %d" % p)
+            raise InvariantError("cubic partition does not match Gamma(S) at p = %d" % p)
         if hits:
             cells[hits[0]].append(p)
     return CubicPartition(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import ContextMismatchError, DegenerateParameterError
+from .errors import ContextMismatchError, DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
 from .ring import ParamPair, RationalLike, _frac
 from .transforms import classify_cyclotomic
@@ -187,7 +187,7 @@ def _entry(g: GroupElement, order_bound: int = 24) -> TorsionEntry:
     rep, k = _canonical_shift(g)
     order = laxton_order(g, bound=order_bound)
     if order is None:
-        raise ArithmeticError("element %r is not torsion within bound %d" % (g, order_bound))
+        raise InvariantError("element %r is not torsion within bound %d" % (g, order_bound))
     # rep = g*D**k, so g = rep*D**-k
     return TorsionEntry(element=LaxtonElement(rep), order=order, coset_witness_k=-k)
 
@@ -280,7 +280,7 @@ def _enumerated_table(t: Fraction, kind: str, group_type: Tuple[int, ...], eleme
     for n in group_type:
         expected *= n
     if len(entries) != expected:
-        raise ArithmeticError(
+        raise InvariantError(
             "torsion enumeration over t = %s found %d distinct cosets, expected %d" % (t, len(entries), expected)
         )
     ordered = sorted(entries.values(), key=lambda e: (e.order, e.element.rep.a0, e.element.rep.a1))

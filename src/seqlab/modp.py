@@ -11,31 +11,35 @@ Element orders in that group drive the whole divisor theory: p divides some
 term of the sequence carried by X exactly when ord_p(X) divides ord_p(D),
 that is, when X**m is a scalar mod p for m = ord_p(D).
 
-Both tests run on one Lucas-chain ladder for V_n(s) = V_n(s, 1): two modular
-products per bit and no inverses (Montgomery 1992, "Evaluating recurrences
-of form X_{m+n} = f(X_m, X_n, X_{m-n}) via Lucas chains"; Joye and Quisquater
-1996, "Efficient computation of full Lucas sequences").  For X = a1 + a0*e
-(e**2 + t*e + 1 = 0) with eigenvalue ratio z, X**m is a scalar iff z**m = 1,
-and z + 1/z = tr**2/det - 2 (tr = 2*a1 - t*a0, det = a1**2 - t*a0*a1 + a0**2);
-as w + 1/w = 2 iff w = 1, the test is det != 0 and V_m(tr**2/det - 2) = 2.
+One residue fixes the order of a class.  For X = a1 + a0*e (e**2 + t*e +
+1 = 0) with eigenvalue ratio z, X**m is a scalar iff z**m = 1, and
+
+    s = z + 1/z = tr**2/det - 2   (tr = 2*a1 - t*a0, det = a1**2 - t*a0*a1 + a0**2),
+
+so X**m is a scalar iff det != 0 and V_m(s) = 2, as w + 1/w = 2 iff w = 1.
 A scalar (a0 = 0, the one case of equal eigenvalues, as tr**2 - 4*det =
-a0**2 * (t**2 - 4)) gives V_m(2) = 2.  m is found once per (t, p) by a descent
-over the factors of N: D**n is a scalar iff V_n(t) = +-2, and
-V_q(V_n(t)) = V_qn(t) lets each step go on from the last value.
+a0**2 * (t**2 - 4)) has s = 2; the companion class D has s = t**2 - 2 and
+W = [-1, 1] has s = t.  Every power is V_n(s) = V_n(s, 1) on one Lucas-chain
+ladder: two modular products per bit and no inverses (Montgomery 1992,
+"Evaluating recurrences of form X_{m+n} = f(X_m, X_n, X_{m-n}) via Lucas
+chains"; Joye and Quisquater 1996, "Efficient computation of full Lucas
+sequences").  Every order comes from one descent over the factors of N, the
+least m | N with V_m(s) = 2; V_q(V_n(s)) = V_qn(s) lets each step go on from
+the last value.  m = ord_p(D) is found once per (t, p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
 from .group import GroupElement
 from .rational import factorize
-from .ring import RationalLike, _frac, binpow
+from .ring import RationalLike, _frac
 from .transforms import check_parameter
 
 
@@ -63,7 +67,6 @@ class ModpContext:
     t: Fraction
     p: int
     t_p: int
-    delta_p: int
     group_order: int
     order_factors: Tuple[Tuple[int, int], ...]
     companion_order: int
@@ -79,7 +82,7 @@ def _row(num: int, den: int, p: int) -> Tuple[int, int, int]:
         raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, Fraction(num, den)))
     t_p = num * pow(den, -1, p) % p
     n = p - 1 if pow(t_p * t_p - 4, (p - 1) // 2, p) == 1 else p + 1
-    return t_p, n, _companion_order(t_p, p, n, factorize(n).items())
+    return t_p, n, _order((t_p * t_p - 2) % p, p, n, factorize(n).items())
 
 
 def _lucas_v(s: int, p: int, n: int) -> int:
@@ -93,24 +96,39 @@ def _lucas_v(s: int, p: int, n: int) -> int:
     return v
 
 
-def _companion_order(t_p: int, p: int, n: int, factors: Iterable[Tuple[int, int]]) -> int:
-    """ord_p(D) in the group of order n: strip each prime power q**e off the
-    order, then put back the factors q that D still needs to become scalar."""
+def _order(s: int, p: int, n: int, factors: Iterable[Tuple[int, int]]) -> int:
+    """The least m | n with V_m(s) = 2: the order of a class with that s in
+    the group of order n.  Strip each prime power q**e off n, then put back
+    the factors q the class still needs."""
     m = n
     for q, e in factors:
         m //= q ** e
-        v = _lucas_v(t_p, p, m)
-        while v != 2 and v != p - 2:
+        v = _lucas_v(s, p, m)
+        while v != 2:
             v = _lucas_v(v, p, q)
             m *= q
     return m
+
+
+def _det(t_p: int, p: int, a0: int, a1: int) -> int:
+    return (a1 * a1 - t_p * a0 * a1 + a0 * a0) % p
+
+
+def _class_s(t_p: int, p: int, a0: int, a1: int) -> Optional[int]:
+    """s = tr**2/det - 2 mod p for the class (a0, a1), or None when det = 0."""
+    a0, a1 = a0 % p, a1 % p
+    det = _det(t_p, p, a0, a1)
+    if det == 0:
+        return None
+    tr = 2 * a1 - t_p * a0
+    return (tr * tr * pow(det, -1, p) - 2) % p
 
 
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = check_parameter(_frac(t))
     t_p, n, m = _row(t.numerator, t.denominator, p)
     return ModpContext(
-        t=t, p=p, t_p=t_p, delta_p=(t_p * t_p - 4) % p, group_order=n,
+        t=t, p=p, t_p=t_p, group_order=n,
         order_factors=tuple(sorted(factorize(n).items())), companion_order=m,
     )
 
@@ -123,66 +141,23 @@ class ModpElement:
     a0: int
     a1: int
 
-    def __mul__(self, other: "ModpElement") -> "ModpElement":
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ExcludedPrimeError("elements over different mod-p contexts")
-        pair = _mul(self.ctx.t_p, self.ctx.p, (self.a0, self.a1), (other.a0, other.a1))
-        a0, a1 = _normalize(self.ctx.p, pair)
-        return ModpElement(self.ctx, a0, a1)
-
-    def __pow__(self, n: int) -> "ModpElement":
-        a0, a1 = _pow(self.ctx.t_p, self.ctx.p, (self.a0, self.a1), n % self.ctx.group_order)
-        return ModpElement(self.ctx, a0, a1)
-
-    def is_identity(self) -> bool:
-        return self.a0 == 0 and self.a1 == 1
-
-
-def _det(t_p: int, p: int, x: Tuple[int, int]) -> int:
-    return (x[1] * x[1] - t_p * x[0] * x[1] + x[0] * x[0]) % p
-
-
-def _mul(t_p: int, p: int, x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-    return (
-        (x[1] * y[0] + x[0] * y[1] - t_p * x[0] * y[0]) % p,
-        (x[1] * y[1] - x[0] * y[0]) % p,
-    )
-
-
-def _normalize(p: int, x: Tuple[int, int]) -> Tuple[int, int]:
-    if x[1] % p:
-        return (x[0] * pow(x[1], -1, p) % p, 1)
-    if x[0] % p == 0:
-        raise SingularElementError("zero pair mod %d" % p)
-    return (1, 0)
-
-
-def _pow(t_p: int, p: int, x: Tuple[int, int], n: int) -> Tuple[int, int]:
-    return _normalize(p, binpow(partial(_mul, t_p, p), (0, 1), x, n))
-
-
-def _ord(ctx: ModpContext, x: Tuple[int, int]) -> int:
-    """Order of a class by descent through the factored group order."""
-    order = ctx.group_order
-    for q, _ in ctx.order_factors:
-        while order % q == 0 and _pow(ctx.t_p, ctx.p, x, order // q) == (0, 1):
-            order //= q
-    return order
-
 
 def modp_reduce(x: GroupElement, p: int) -> ModpElement:
     """The class of x in the mod-p group; fails if det vanishes there."""
     if not x.ctx.is_one_param:
         raise ExcludedPrimeError("mod-p reduction takes one-parameter classes")
     ctx = modp_context(x.ctx.T, p)
-    if _det(ctx.t_p, p, (x.a0 % p, x.a1 % p)) == 0:
+    a0, a1 = x.a0 % p, x.a1 % p
+    if _det(ctx.t_p, p, a0, a1) == 0:
         raise SingularElementError("class %r is singular mod %d" % (x, p))
-    a0, a1 = _normalize(p, (x.a0 % p, x.a1 % p))
-    return ModpElement(ctx, a0, a1)
+    if a1 == 0:  # det = a0**2, so a0 != 0
+        return ModpElement(ctx, 1, 0)
+    return ModpElement(ctx, a0 * pow(a1, -1, p) % p, 1)
 
 
 def ord_p(x: ModpElement) -> int:
-    return _ord(x.ctx, (x.a0, x.a1))
+    ctx = x.ctx
+    return _order(_class_s(ctx.t_p, ctx.p, x.a0, x.a1), ctx.p, ctx.group_order, ctx.order_factors)
 
 
 def ord_companion(t: RationalLike, p: int) -> int:
@@ -191,26 +166,20 @@ def ord_companion(t: RationalLike, p: int) -> int:
 
 
 def xi(t: RationalLike, p: int) -> int:
-    """ord_p of the class W = [-1, 1]; the invariant behind the trichotomy.
+    """ord_p of the class W = [-1, 1], whose s is t; the invariant behind
+    the trichotomy.
 
     ord_p(D) equals xi when xi is odd and xi/2 when xi is even (W**2 is the
     D**-1 class).
     """
     ctx = modp_context(t, p)
-    return _ord(ctx, _normalize(p, (p - 1, 1)))
+    return _order(ctx.t_p, p, ctx.group_order, ctx.order_factors)
 
 
 def _power_is_scalar(t_p: int, p: int, m: int, a0: int, a1: int) -> bool:
-    """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar:
-    det != 0 and V_m(tr**2/det - 2) = 2 (see the module docstring)."""
-    a0, a1 = a0 % p, a1 % p
-    det = _det(t_p, p, (a0, a1))
-    if det == 0:
-        return False
-    tr = 2 * a1 - t_p * a0
-    return _lucas_v((tr * tr * pow(det, -1, p) - 2) % p, p, m) == 2
-
-
+    """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar."""
+    s = _class_s(t_p, p, a0, a1)
+    return s is not None and _lucas_v(s, p, m) == 2
 def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """is_divisor(x, p) for each element x, one row per prime p.
 
@@ -264,6 +233,4 @@ def qr_filter(x: GroupElement, p: int) -> bool:
     if not x.ctx.is_one_param:
         raise ExcludedPrimeError("QR filter takes one-parameter classes")
     ctx = modp_context(x.ctx.T, p)
-    d = x.det
-    d_p = d.numerator * pow(d.denominator, -1, p) % p
-    return pow(d_p, (p - 1) // 2, p) == 1
+    return pow(_det(ctx.t_p, p, x.a0, x.a1), (p - 1) // 2, p) == 1

@@ -42,9 +42,10 @@ def first_odd_primes(count: int) -> List[int]:
 
 # A gcd with the product of these primes settles every n < 43**2.  Above
 # that, the first k of them as strong-pseudoprime bases decide every n below
-# the paired bound, and all thirteen every n < 3317044064679887385961981
-# (Jaeschke 1993; Sorenson and Webster 2017).
+# the paired bound, and all thirteen every n < EXACT_BELOW (Jaeschke 1993;
+# Sorenson and Webster 2017).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+EXACT_BELOW = 3317044064679887385961981
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _MR_BOUNDS = (
     (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
@@ -56,8 +57,8 @@ _MR_BOUNDS = (
 def is_prime(n: int) -> bool:
     """Primality by small-prime gcd, then deterministic Miller-Rabin.
 
-    Exact for every n < 3.3 * 10**24; above that it is a strong
-    probable-prime test to the thirteen bases 2, 3, ..., 41.
+    Exact for every n < EXACT_BELOW (about 3.3 * 10**24); above that it is
+    a strong probable-prime test to the thirteen bases 2, 3, ..., 41.
     """
     if n < 43 * 43:
         return n in _SMALL_PRIMES or (n > 1 and gcd(n, _SMALL_PRODUCT) == 1)

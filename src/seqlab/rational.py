@@ -13,6 +13,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
+from . import primes as _primes
+from .errors import SeqLabError
+
 
 _TOO_LONG = 10**1000  # the least value of over 1000 digits
 
@@ -38,11 +41,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Serialize a Fraction as "a/b", omitting "/b" when the denominator is 1."""
+    """Serialize a Fraction as "a/b", omitting "/b" when the denominator is 1.
+
+    Raises SeqLabError past the number of digits Python prints of an int.
+    """
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        raise SeqLabError("value has too many digits to print") from None
 
 
 def is_perfect_square(n: int) -> bool:
@@ -73,8 +82,16 @@ def is_rational_square(x: Fraction) -> bool:
     return rational_sqrt(x) is not None
 
 
+def _proven_prime(n: int) -> bool:
+    return n < _primes.EXACT_BELOW and _primes.is_prime(n)
+
+
 def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of |n| by trial division. factorize(0) is an error."""
+    """Prime factorization of |n| by trial division. factorize(0) is an error.
+
+    Division stops early once the cofactor is a prime that `is_prime`
+    decides exactly; a larger probable prime is still trial-divided.
+    """
     if n == 0:
         raise ValueError("cannot factorize 0")
     n = abs(n)
@@ -85,11 +102,14 @@ def factorize(n: int) -> Dict[int, int]:
             n //= p
     # wheel over 6k +- 1
     f = 5
-    while f * f <= n:
+    done = _proven_prime(n)
+    while not done and f * f <= n:
         for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                done = _proven_prime(n)
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Tuple
 
-from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
+from .errors import ContextMismatchError, DegenerateParameterError, InvariantError, SingularElementError
 from .rational import is_rational_square, rational_sqrt, squarefree_decompose
 from .ring import (
     ParamPair,
@@ -82,7 +82,7 @@ def simple_reduce(T: RationalLike, Q: RationalLike) -> Tuple[ParamPair, ParamPai
     plus, minus = ParamPair(Fraction(ts), Fraction(qs)), ParamPair(Fraction(-ts), Fraction(qs))
     for pair in (plus, minus):
         if not is_simple(int(pair.T), int(pair.Q)) or pair.t != ParamPair(_frac(T), _frac(Q)).t:
-            raise ArithmeticError("simple reduction failed for (%s, %s)" % (T, Q))
+            raise InvariantError("simple reduction failed for (%s, %s)" % (T, Q))
     return plus, minus
 
 

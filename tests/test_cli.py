@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import seqlab
+from seqlab import cli
 from seqlab.cli import build_parser, main
+from seqlab.errors import InvariantError
 from seqlab.lab import CSV_HEADER, PrimeWindow
 
 
@@ -259,6 +261,48 @@ def test_classify_huge_numerator_over_a_prime_terminates():
     assert doc["primitive"] is True and doc["witnesses"] == []
 
 
+P64 = str(2**64 - 59)  # a prime; trial division up to its root would not finish
+
+
+@pytest.mark.parametrize("argv", [
+    ["independence", "--T", P64, "--Q", P64, "--x", "1,2", "--window", "first:5"],
+    ["classify", "--t", "1/" + P64],
+    ["classify", "--t", P64],
+    ["torsion", "--t", "5/" + P64],
+])
+def test_prime_cofactor_ends_trial_division(argv):
+    """factorize stops once the cofactor is a prime is_prime decides exactly."""
+    src = os.path.dirname(os.path.dirname(seqlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "seqlab"] + argv, capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_seq_term_past_the_int_printing_limit_is_a_domain_error(capsys, fmt):
+    """x_11000 at t = 3 has about 4 600 digits; nothing is printed."""
+    code, out, err = run(capsys, "seq", "--t", "3", "--x", "1,1", "--range", "11000..11000", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_only_invariant_errors_exit_1(capsys, monkeypatch):
+    def broken_invariant(args):
+        raise InvariantError("partition cells overlap at p = 7")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken_invariant)
+    code, out, err = run(capsys, "classify", "--t", "3")
+    assert code == 1 and out == ""
+    assert err == "error: partition cells overlap at p = 7\n"
+
+    def bug(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_classify", bug)
+    with pytest.raises(ZeroDivisionError):
+        main(["classify", "--t", "3"])
+
+
 def test_independence_huge_prime_T(capsys):
     """is_simple factors gcd(T, Q), not a 20-digit prime T."""
     code, out, err = run(capsys, "independence", "--T", "18446744073709551557", "--Q", "3",
@@ -283,9 +327,10 @@ _SPECIAL = st.sampled_from([
     "", " ", "x", "1/", "/3", "1/2/3", "--", "nan", "inf", "3,4",
 ])
 _VALUE = st.one_of(_SMALL, _HUGE_INT, _RATIONAL, _CYCLOTOMIC, _SPECIAL)
-# --Q draws no huge integer that --T could share: a 20-digit prime common to
-# both would have is_simple factor it by trial division (see CHANGES.md)
-_Q_VALUE = st.one_of(_SMALL, _SPECIAL, _RATIONAL.filter(lambda q: Fraction(q).denominator > 1))
+# --Q draws no huge integer that --T could share: a prime common to both and
+# above primes.EXACT_BELOW would have is_simple factor it by trial division;
+# P64, below that bound, is in both pools
+_Q_VALUE = st.one_of(_SMALL, _SPECIAL, _RATIONAL.filter(lambda q: Fraction(q).denominator > 1), st.just(P64))
 _PAIR = st.one_of(
     st.tuples(_SMALL, _SMALL).map(",".join),
     st.tuples(_VALUE, _VALUE).map(",".join),
@@ -318,7 +363,7 @@ def sweep_argv(draw):
         parts += [st.sampled_from([None, "--full"]), _optional("--convention", st.sampled_from(["pi_t", "all"]))]
     if command == "independence":
         parts += [
-            st.tuples(st.just("--T"), st.one_of(_SMALL, _HUGE_INT, _VALUE)),
+            st.tuples(st.just("--T"), st.one_of(_SMALL, _HUGE_INT, _VALUE, st.just(P64))),
             st.tuples(st.just("--Q"), st.one_of(_SMALL, _Q_VALUE)),
             st.tuples(st.just("--x"), _PAIR),
         ]

@@ -2,7 +2,10 @@
 
 The oracles here know nothing about the group theory: they enumerate
 projective classes directly, compute element orders by stepping, and decide
-divisibility by scanning sequence terms mod p.  The layer must agree.
+divisibility by scanning sequence terms mod p.  The layer must agree.  For
+the larger seeded sets, orders come from a pair-power reference: classes
+multiplied as 2-vectors by square-and-multiply, which shares nothing with
+the layer's Lucas ladder.
 """
 
 import random
@@ -29,6 +32,7 @@ from seqlab.modp import (
     xi,
 )
 from seqlab.primes import odd_primes_below
+from seqlab.rational import factorize
 
 F = Fraction
 
@@ -232,21 +236,65 @@ def test_qr_filter_euler():
 
 
 # ---------------------------------------------------------------------------
-# the batched kernel against the descent-based orders
+# the order reference: pair powering, independent of the Lucas ladder
 # ---------------------------------------------------------------------------
 
 
+def pair_mul(tp, p, x, y):
+    """(x1 + x0*e)(y1 + y0*e) mod p, with e**2 = -t*e - 1."""
+    return ((x[1] * y[0] + x[0] * y[1] - tp * x[0] * y[0]) % p,
+            (x[1] * y[1] - x[0] * y[0]) % p)
+
+
+def pair_normalize(p, x):
+    assert x[0] % p or x[1] % p, "zero pair mod %d" % p
+    if x[1] % p:
+        return (x[0] * pow(x[1], -1, p) % p, 1)
+    return (1, 0)
+
+
+def pair_pow(tp, p, x, n):
+    """x**n mod p by square-and-multiply on 2-vectors, as a normalized class."""
+    acc = (0, 1)
+    while n:
+        if n & 1:
+            acc = pair_mul(tp, p, acc, x)
+        x = pair_mul(tp, p, x, x)
+        n >>= 1
+    return pair_normalize(p, acc)
+
+
+def pair_order(t, p, pair):
+    """Order of a class nonsingular mod p, by descent through the factored
+    group order p -+ 1: drop each prime q while x**(order/q) is a scalar."""
+    tp = t_mod_p(t, p)
+    order = p - 1 if pow((tp * tp - 4) % p, (p - 1) // 2, p) == 1 else p + 1
+    for q in factorize(order):
+        while order % q == 0 and pair_pow(tp, p, pair, order // q) == (0, 1):
+            order //= q
+    return order
+
+
+def singular_mod(t, pair, p):
+    tp = t_mod_p(t, p)
+    return (pair[1] * pair[1] - tp * pair[0] * pair[1] + pair[0] * pair[0]) % p == 0
+
+
 def descent_companion_order(t, p):
-    """ord_p(D) by the element-order descent, the kernel's reference."""
-    return ord_p(modp_reduce(companion_class(ParamPair.one_param(t)), p))
+    """ord_p(D) by pair powering, the kernel's reference."""
+    return pair_order(t, p, (1, t_mod_p(t, p)))
 
 
 def descent_flag(x, p):
-    try:
-        xp = modp_reduce(x, p)
-    except SingularElementError:
+    pair = (x.a0, x.a1)
+    if singular_mod(x.ctx.T, pair, p):
         return False
-    return descent_companion_order(x.ctx.T, p) % ord_p(xp) == 0
+    return descent_companion_order(x.ctx.T, p) % pair_order(x.ctx.T, p, pair) == 0
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the pair-power orders
+# ---------------------------------------------------------------------------
 
 
 def random_classes(rng, t, count):
@@ -275,7 +323,8 @@ def test_batched_flags_match_descent(t, kind):
         assert row == tuple(descent_flag(x, p) for x in elements), (t, p)
 
 
-def test_lucas_companion_order_matches_descent():
+def lucas_pairs():
+    """10 000 seeded admissible (t, p) with p < 6000, sorted."""
     rng = random.Random(1992)
     primes = odd_primes_below(6000)
     pairs = set()
@@ -285,8 +334,40 @@ def test_lucas_companion_order_matches_descent():
         if t in (0, 1, -1, 2, -2) or not in_admissible_set(t, p):
             continue
         pairs.add((t, p))
-    for t, p in sorted(pairs):
+    return sorted(pairs)
+
+
+def test_lucas_companion_order_matches_descent():
+    for t, p in lucas_pairs():
         assert ord_companion(t, p) == descent_companion_order(t, p), (t, p)
+
+
+def test_xi_and_trichotomy_match_pair_power_reference():
+    for t, p in lucas_pairs():
+        k = pair_order(t, p, (-1, 1))
+        assert xi(t, p) == k, (t, p)
+        assert trichotomy_class(t, p) == ("W" if k % 2 else "V" if k % 4 == 2 else "C"), (t, p)
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "circular", "cubic"])
+def test_ord_p_matches_pair_power_reference(kind):
+    """ord_p on 125 seeded (t, p) per kind, p < 6000, four classes each: a
+    random pair, the scalar [p, 1], [1, 0] and D (2 000 triples in all)."""
+    rng = random.Random(0x0D + len(kind))
+    primes = odd_primes_below(6000)
+    for _ in range(125):
+        while True:
+            t, p = random_parameter(rng, kind), rng.choice(primes)
+            if t not in (0, 1, -1, 2, -2) and in_admissible_set(t, p):
+                break
+        ctx = ParamPair.one_param(t)
+        while True:
+            pair = (rng.randint(-60, 60), rng.randint(-60, 60))
+            if pair != (0, 0) and not singular_mod(t, pair, p):
+                break
+        for a0, a1 in (pair, (p, 1), (1, 0), (t.denominator, t.numerator)):
+            x = GroupElement.from_pair(ctx, a0, a1)
+            assert ord_p(modp_reduce(x, p)) == pair_order(t, p, (x.a0, x.a1)), (t, p, x)
 
 
 def test_kernel_edge_cases():

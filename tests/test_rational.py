@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from seqlab.errors import SeqLabError
+from seqlab.primes import is_prime
 from seqlab.rational import (
     divisors,
     factorize,
@@ -34,6 +36,9 @@ def test_format_rational():
     assert format_rational(Fraction(8)) == "8"
     assert format_rational(Fraction(-19, 3)) == "-19/3"
     assert format_rational(Fraction(4, 2)) == "2"
+    for x in (Fraction(10**5000), Fraction(1, 10**5000)):  # past Python's int printing limit
+        with pytest.raises(SeqLabError, match="too many digits"):
+            format_rational(x)
 
 
 @given(st.fractions(max_denominator=40))
@@ -68,6 +73,11 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(-98) == {2: 1, 7: 2}
     assert factorize(9973) == {9973: 1}
+    # a prime cofactor ends trial division, which could not reach the root of p64
+    p64 = 2**64 - 59
+    assert factorize(p64) == {p64: 1}
+    assert factorize(-2**3 * 3 * 7**2 * 1_000_003 * p64) == {2: 3, 3: 1, 7: 2, 1_000_003: 1, p64: 1}
+    assert factorize(999_983 * 1_000_003) == {999_983: 1, 1_000_003: 1}
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -76,6 +86,7 @@ def test_factorize():
 def test_factorize_reconstructs(n):
     prod = 1
     for p, e in factorize(n).items():
+        assert is_prime(p)
         prod *= p ** e
     assert prod == n
 
