@@ -15,7 +15,7 @@ can count the window primes outside the admissible set in the denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from multiprocessing import Pool
@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
-from .ring import ParamPair, RationalLike, _frac
-from .transforms import classify_cyclotomic, is_simple
-from .group import GroupElement, class_c, class_w, class_v
+from .ring import ParamPair, RationalLike, make_element, _frac
+from .transforms import classify_cyclotomic, is_simple, phi
+from .group import GroupElement, class_c, class_w, class_v, reduce_element
 from .modp import divisor_table, exclusion_modulus
 from .primes import first_odd_primes, odd_primes_below
 
@@ -387,10 +387,9 @@ def independence_report(
         raise DegenerateParameterError(
             "(%d, %d) is not a simple pair; reduce it first (simple_reduce)" % (T, Q)
         )
-    t = Fraction(T * T, Q) - 2
-    ctx = ParamPair.one_param(t)
-    x2 = T * x1 - Q * x0
-    x = GroupElement.from_pair(ctx, Q * x0, x2)
+    seq = make_element(ParamPair(T, Q), x0, x1)
+    x = reduce_element(phi(seq))
+    t = x.ctx.T
     wx = class_w(t) * x
     eligible, excluded = window_split(t, window)
     if not eligible:
@@ -401,7 +400,7 @@ def independence_report(
     hits_x = [p for p, row in zip(eligible, flags) if row[0]]
     hits_wx = [p for p, row in zip(eligible, flags) if row[1]]
     both = [p for p, row in zip(eligible, flags) if row[0] and row[1]]
-    det_part = Fraction(x1 * x1 - T * x0 * x1 + Q * x0 * x0)
+    det_part = seq.det
     return DensityReport(
         T=T, Q=Q, x0=x0, x1=x1, t=t, window=window,
         total_primes=len(eligible) + len(excluded),

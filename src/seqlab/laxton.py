@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import ContextMismatchError, DegenerateParameterError, InvariantError
+from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
-from .ring import ParamPair, RationalLike, _frac
-from .transforms import classify_cyclotomic
+from .ring import ParamPair, RationalLike, companion, _frac
+from .transforms import classify_cyclotomic, phi_inverse, phi_r
 from .group import (
     GroupElement,
     check_group_context,
@@ -29,6 +29,7 @@ from .group import (
     identity_class,
     maximal_decomposition,
     primitivity,
+    reduce_element,
     torsion_l,
 )
 
@@ -62,19 +63,21 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
     return LaxtonWitness(k=k, scale=scale)
 
 
-def _find_d_power(z: GroupElement) -> Optional[int]:
+def _find_d_power(z: GroupElement, one: Optional[Tuple[GroupElement, int]] = None) -> Optional[int]:
     """The k with z = class(D**k), or None.
 
     For one-parameter contexts det z must be a rational square (det D = 1),
     which filters most misses for free.  Otherwise z is a D-power exactly
     when its coset and the identity's have the same canonical shift:
     z*D**k_z = D**k_1 gives z = D**(k_1 - k_z), and equal representatives
-    only ever come from one coset.
+    only ever come from one coset.  `one` is the identity's canonical
+    shift, for callers that test many z over one context; it is walked here
+    when not given.
     """
     if z.ctx.is_one_param and not is_rational_square(z.det):
         return None
     rep_z, k_z = _canonical_shift(z)
-    rep_1, k_1 = _canonical_shift(identity_class(z.ctx))
+    rep_1, k_1 = one or _canonical_shift(identity_class(z.ctx))
     return k_1 - k_z if rep_z == rep_1 else None
 
 
@@ -136,9 +139,10 @@ def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
 
 def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:
     """The order of g's coset in the Laxton group, if it is <= bound."""
+    one = _canonical_shift(identity_class(g.ctx))
     acc = g
     for k in range(1, bound + 1):
-        if _find_d_power(acc) is not None:
+        if _find_d_power(acc, one) is not None:
             return k
         acc = acc * g
     return None
@@ -296,35 +300,21 @@ def xi_hom(x: GroupElement, target: ParamPair) -> LaxtonElement:
     """The 2-to-1 homomorphism from the Laxton group over t = T**2/Q - 2
     onto the one over (T, Q); kernel {I, W}.
 
-    On representatives it inverts the even/odd split: [x0, x1] maps to the
-    coset of [T*x0, Q*(x0 + x1)].
+    On representatives it is the inverse split phi^{-1}: [x0, x1] maps to
+    the coset of [T*x0, Q*(x0 + x1)].
     """
     check_group_context(target)
-    if not x.ctx.is_one_param or x.ctx.T != target.t:
-        raise ContextMismatchError("element over %r is not a split class for %r" % (x.ctx, target))
-    rep = GroupElement.from_pair(target, target.T * x.a0, target.Q * (x.a0 + x.a1))
-    return LaxtonElement.of(rep)
+    return LaxtonElement.of(reduce_element(phi_inverse(x.ring_element(), target)))
 
 
 def xi_n_kernel(t: RationalLike, n: int) -> Tuple[GroupElement, ...]:
     """Kernel representatives of the degree-n quotient G(C_n(t)) -> G(t).
 
-    The kernel is cyclic of order n, generated by the image of D_t; coset k
-    is the class of [U_k(t), U_{n+k}(t)] over t_n = C_n(t).
+    The kernel is cyclic of order n, generated by the image of D_t under
+    the decimation phi_n; coset k is the class of phi_n(D_t**k) =
+    [U_k(t), U_{n+k}(t)] / U_n(t) over t_n = C_n(t).
     """
-    from .ring import chebyshev_c, chebyshev_u
-
-    t = _frac(t)
     if n < 1:
         raise DegenerateParameterError("kernel needs n >= 1, got %d" % n)
-    un = chebyshev_u(t, n)
-    if un == 0:
-        raise DegenerateParameterError("U_%d(%s) = 0; quotient undefined" % (n, t))
-    ctx_n = ParamPair.one_param(chebyshev_c(t, n))
-    out = []
-    for k in range(n):
-        if k == 0:
-            out.append(identity_class(ctx_n))
-        else:
-            out.append(GroupElement.from_pair(ctx_n, chebyshev_u(t, k), chebyshev_u(t, n + k)))
-    return tuple(out)
+    d = companion(ParamPair.one_param(t))
+    return tuple(reduce_element(phi_r(d ** k, n)) for k in range(n))

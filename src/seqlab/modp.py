@@ -61,14 +61,13 @@ def exclusion_modulus(n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class ModpContext:
-    """t reduced mod an admissible prime, with the group order prefactored
-    and the order of the companion class D."""
+    """t reduced mod an admissible prime, with the group order and the
+    order of the companion class D."""
 
     t: Fraction
     p: int
     t_p: int
     group_order: int
-    order_factors: Tuple[Tuple[int, int], ...]
     companion_order: int
 
 
@@ -127,10 +126,7 @@ def _class_s(t_p: int, p: int, a0: int, a1: int) -> Optional[int]:
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = check_parameter(_frac(t))
     t_p, n, m = _row(t.numerator, t.denominator, p)
-    return ModpContext(
-        t=t, p=p, t_p=t_p, group_order=n,
-        order_factors=tuple(sorted(factorize(n).items())), companion_order=m,
-    )
+    return ModpContext(t=t, p=p, t_p=t_p, group_order=n, companion_order=m)
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,8 @@ def modp_reduce(x: GroupElement, p: int) -> ModpElement:
 
 def ord_p(x: ModpElement) -> int:
     ctx = x.ctx
-    return _order(_class_s(ctx.t_p, ctx.p, x.a0, x.a1), ctx.p, ctx.group_order, ctx.order_factors)
+    n = ctx.group_order
+    return _order(_class_s(ctx.t_p, ctx.p, x.a0, x.a1), ctx.p, n, factorize(n).items())
 
 
 def ord_companion(t: RationalLike, p: int) -> int:
@@ -173,7 +170,7 @@ def xi(t: RationalLike, p: int) -> int:
     D**-1 class).
     """
     ctx = modp_context(t, p)
-    return _order(ctx.t_p, p, ctx.group_order, ctx.order_factors)
+    return _order(ctx.t_p, p, ctx.group_order, factorize(ctx.group_order).items())
 
 
 def _power_is_scalar(t_p: int, p: int, m: int, a0: int, a1: int) -> bool:

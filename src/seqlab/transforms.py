@@ -1,19 +1,29 @@
 """Isomorphisms and reparametrizations between recursion rings.
 
-The maps implemented here are all exact ring isomorphisms (conjugations by
-an explicit 2x2 matrix), written out on second rows:
+Five maps change ring, each an exact ring isomorphism (conjugation by an
+explicit 2x2 matrix) written out on second rows:
 
-* phi:    R(T, Q) -> R(t, 1) with t = T**2/Q - 2, the even/odd split;
+* phi:    R(T, Q) -> R(t) with t = T**2/Q - 2, the even/odd split;
+* phi_inverse: its inverse R(t) -> R(T, Q);
 * psi:    R(t) -> R(-t), transposition, the twin involution;
 * phi_r:  R(t) -> R(t_r) with t_r = C_r(t), the index-r decimation;
-* theta_circular / theta_cubic: the sporadic isomorphisms R(t) -> R(a)
-  that exist exactly when t**2 + a**2 = 4, resp. when t and a are
-  C_3-associates (t**2 - 4 = -3*f**2, a = (-t +- 3f)/2).
+* phi_r_inverse: its inverse R(C_r(t)) -> R(t).
+
+Every other change of ring is a composition of these, times an exact
+scalar where a sequence is rescaled:
+
+* theta_circular = phi_2^{-1}(., a) . psi . phi_2, for t**2 + a**2 = 4;
+* theta_cubic = phi_3^{-1}(., a) . phi_3, for C_3-associates t and a
+  (t**2 - 4 = -3*f**2, a = (-t +- 3f)/2);
+* recombine: y = phi^{-1}(X)/T and z = phi^{-1}(X*C_t)/T over (T, Q), and
+  -phi^{-1}(psi(X))/Th, -phi^{-1}(psi(X)*C_{-t})/Th over the simple twin
+  (Th, Qh), with C_t = [2, t];
+* recombine_circular = (t/a) * theta_circular and
+  recombine_cubic = (t**2 - 1)/(a**2 - 1) * theta_cubic.
 
 Alongside them live the parameter-level constructions: reduction of a pair
-(T, Q) to its two simple integer pairs, twin pairs, the cyclotomic
-classification of t, and the sequence recombination rules that rebuild
-solutions of a two-parameter recursion from the split one-parameter data.
+(T, Q) to its two simple integer pairs, twin pairs and the cyclotomic
+classification of t.
 """
 
 from __future__ import annotations
@@ -23,14 +33,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Tuple
 
-from .errors import ContextMismatchError, DegenerateParameterError, InvariantError, SingularElementError
-from .rational import is_rational_square, rational_sqrt, squarefree_decompose
+from .errors import ContextMismatchError, DegenerateParameterError, InvariantError
+from .rational import rational_sqrt, squarefree_decompose
 from .ring import (
     ParamPair,
     RationalLike,
     RingElement,
     chebyshev_c,
     chebyshev_u,
+    elem_c,
     _frac,
 )
 
@@ -223,45 +234,53 @@ def phi_r_inverse(y: RingElement, t: RationalLike, r: int) -> RingElement:
     return RingElement(ParamPair.one_param(t), ur * y.x0, y.x1 + chebyshev_u(t, r - 1) * y.x0)
 
 
-def theta_circular(x: RingElement, a: Optional[RationalLike] = None) -> RingElement:
-    """The circular isomorphism R(t) -> R(a), t**2 + a**2 = 4:
-
-        theta(X) = (1/t) * [-a*x0, x2 - x0].
-
-    Composition Phi_{2,a}^{-1} . Psi . Phi_{2,t}, hence exactly
-    multiplicative; sends D_t**2 to -D_a**2 and D_t*C_t to -a*D_a.
-    """
-    t = _one_param_t(x, "theta_circular")
+def _circular_associate(t: RationalLike, a: Optional[RationalLike]) -> Fraction:
+    """a itself, or the canonical a > 0, once t is circular and t**2 + a**2 = 4."""
+    t = _frac(t)
     cls = classify_cyclotomic(t)
     if cls.kind != "circular":
         raise DegenerateParameterError("t = %s is not circular" % t)
     a = cls.a if a is None else _frac(a)
     if a * a + t * t != 4:
         raise DegenerateParameterError("a = %s does not satisfy t**2 + a**2 = 4" % a)
-    return RingElement(ParamPair.one_param(a), -a * x.x0 / t, (x.term(2) - x.x0) / t)
+    return a
 
 
-def theta_cubic(x: RingElement, a: Optional[RationalLike] = None) -> RingElement:
-    """The cubic isomorphism R(t) -> R(a) for C_3-associates a of t:
-
-        (t**2 - 1) * theta(X) = [(a**2 - 1)*x0, a*x0 + x3].
-
-    Composition Phi_{3,a}^{-1} . Phi_{3,t} (both decimations land in
-    R(C_3(t)) = R(C_3(a))), hence exactly multiplicative; with the
-    canonical associate a = (-t + 3f)/2 it sends D_t*S_t to D_a.
-    """
-    t = _one_param_t(x, "theta_cubic")
+def _cubic_associate(t: RationalLike, a: Optional[RationalLike]) -> Fraction:
+    """a itself, or the canonical associate (-t + 3f)/2, once t is cubic and
+    a is one of its two C_3-associates."""
+    t = _frac(t)
     cls = classify_cyclotomic(t)
     if cls.kind != "cubic":
         raise DegenerateParameterError("t = %s is not cubic" % t)
     a = cls.associates[0] if a is None else _frac(a)
     if a not in cls.associates:
         raise DegenerateParameterError("a = %s is not an associate of t = %s" % (a, t))
-    return RingElement(
-        ParamPair.one_param(a),
-        (a * a - 1) * x.x0 / (t * t - 1),
-        (a * x.x0 + x.term(3)) / (t * t - 1),
-    )
+    return a
+
+
+def theta_circular(x: RingElement, a: Optional[RationalLike] = None) -> RingElement:
+    """The circular isomorphism R(t) -> R(a), t**2 + a**2 = 4:
+
+        theta = Phi_{2,a}^{-1} . Psi . Phi_{2,t},   theta(X) = (1/t) * [-a*x0, x2 - x0],
+
+    since C_2(a) = 2 - t**2 = -C_2(t).  Exactly multiplicative; sends
+    D_t**2 to -D_a**2 and D_t*C_t to -a*D_a.
+    """
+    # phi_r runs first, so a two-parameter x fails as a context mismatch
+    return phi_r_inverse(psi(phi_r(x, 2)), _circular_associate(x.ctx.T, a), 2)
+
+
+def theta_cubic(x: RingElement, a: Optional[RationalLike] = None) -> RingElement:
+    """The cubic isomorphism R(t) -> R(a) for C_3-associates a of t:
+
+        theta = Phi_{3,a}^{-1} . Phi_{3,t},   (t**2 - 1) * theta(X) = [(a**2 - 1)*x0, a*x0 + x3],
+
+    as both decimations land in R(C_3(t)) = R(C_3(a)).  Exactly
+    multiplicative; with the canonical associate a = (-t + 3f)/2 it sends
+    D_t*S_t to D_a.
+    """
+    return phi_r_inverse(phi_r(x, 3), _cubic_associate(x.ctx.T, a), 3)
 
 
 def cubic_roots_of_unity(t: RationalLike) -> Tuple[RingElement, RingElement]:
@@ -306,117 +325,51 @@ class RecombinedSequences:
     z_twin: SequenceFn
 
 
-def _sign(k: int) -> int:
-    return 1 if k % 2 == 0 else -1
-
-
 def recombine(x: RingElement, target: ParamPair) -> RecombinedSequences:
     """Interleave a one-parameter solution into two-parameter ones.
 
-    x lives over (t, 1) with t = target.t = T**2/Q - 2.  Writing x_k for
-    x.term(k), the four rebuilt sequences are
+    x lives over (t, 1) with t = target.t = T**2/Q - 2.  With C_t = [2, t]
+    and the simple twin (Th, Qh), which splits to -t, the four rebuilt
+    sequences are carried by
 
-        y_{2k}   = Q**(k-1) * x_k
-        y_{2k-1} = Q**(k-1) * (x_k + x_{k-1}) / T
-        z_{2k}   = Q**(k-1) * (x_{k+1} - x_{k-1})
-        z_{2k-1} = T * Q**(k-2) * (x_k - x_{k-1})
+        Y  = phi^{-1}(X) / T,             Z  = phi^{-1}(X*C_t) / T,
+        Yh = -phi^{-1}(psi(X)) / Th,      Zh = -phi^{-1}(psi(X)*C_{-t}) / Th,
 
-    and, over the simple twin (Th, Qh),
-
-        yh_{2k}   = (-1)**k * Qh**(k-1) * x_k
-        yh_{2k-1} = (-1)**k * Qh**(k-1) * (x_k - x_{k-1}) / Th
-        zh_{2k}   = (-1)**(k+1) * Qh**(k-1) * (x_{k+1} - x_{k-1})
-        zh_{2k-1} = (-1)**k * Th * Qh**(k-2) * (x_k + x_{k-1})
+    so y_{2k} = Q**(k-1) * x_k and y_{2k-1} = Q**(k-1) * (x_k + x_{k-1}) / T.
     """
-    t = _one_param_t(x, "recombine")
-    _split_source(target, "recombine")
-    if target.t != t:
-        raise ContextMismatchError("target %r does not split to t = %s" % (target, t))
+    _one_param_t(x, "recombine")
+    y = phi_inverse(x, target) * (1 / target.T)
+    z = phi_inverse(x * elem_c(x.ctx), target) * (1 / target.T)
     tw = simple_twin(target.T, target.Q)
-    T, Q = target.T, target.Q
-    Th, Qh = tw.T, tw.Q
-
-    def y(n: int) -> Fraction:
-        if n % 2 == 0:
-            k = n // 2
-            return Q ** (k - 1) * x.term(k)
-        k = (n + 1) // 2
-        return Q ** (k - 1) * (x.term(k) + x.term(k - 1)) / T
-
-    def z(n: int) -> Fraction:
-        if n % 2 == 0:
-            k = n // 2
-            return Q ** (k - 1) * (x.term(k + 1) - x.term(k - 1))
-        k = (n + 1) // 2
-        return T * Q ** (k - 2) * (x.term(k) - x.term(k - 1))
-
-    def y_twin(n: int) -> Fraction:
-        if n % 2 == 0:
-            k = n // 2
-            return _sign(k) * Qh ** (k - 1) * x.term(k)
-        k = (n + 1) // 2
-        return _sign(k) * Qh ** (k - 1) * (x.term(k) - x.term(k - 1)) / Th
-
-    def z_twin(n: int) -> Fraction:
-        if n % 2 == 0:
-            k = n // 2
-            return _sign(k + 1) * Qh ** (k - 1) * (x.term(k + 1) - x.term(k - 1))
-        k = (n + 1) // 2
-        return _sign(k) * Th * Qh ** (k - 2) * (x.term(k) + x.term(k - 1))
-
-    return RecombinedSequences(target=target, twin=tw, y=y, z=z, y_twin=y_twin, z_twin=z_twin)
+    xh = psi(x)
+    y_twin = phi_inverse(xh, tw) * (-1 / tw.T)
+    z_twin = phi_inverse(xh * elem_c(xh.ctx), tw) * (-1 / tw.T)
+    return RecombinedSequences(target=target, twin=tw, y=y.term, z=z.term, y_twin=y_twin.term, z_twin=z_twin.term)
 
 
 def recombine_circular(x: SequenceFn, t: RationalLike, a: Optional[RationalLike] = None) -> SequenceFn:
     """Rewrite a solution over circular t as one over the associate a:
+    (t/a) * theta_circular(X), so
 
         xh_{2k}   = (-1)**(k-1) * x_{2k}
-        xh_{2k+1} = (-1)**k * (x_{2k+2} - x_{2k}) / a
+        xh_{2k+1} = (-1)**k * (x_{2k+2} - x_{2k}) / a.
 
-    The result is a scalar multiple of the theta_circular image, so it
-    satisfies the a-recursion exactly.
+    Only x(0) and x(1) are read: x must be a solution over t.
     """
     t = _frac(t)
-    cls = classify_cyclotomic(t)
-    if cls.kind != "circular":
-        raise DegenerateParameterError("t = %s is not circular" % t)
-    a = cls.a if a is None else _frac(a)
-    if a * a + t * t != 4:
-        raise DegenerateParameterError("a = %s does not satisfy t**2 + a**2 = 4" % a)
-
-    def xh(n: int) -> Fraction:
-        if n % 2 == 0:
-            k = n // 2
-            return -_sign(k) * x(n)
-        k = (n - 1) // 2
-        return _sign(k) * (x(n + 1) - x(n - 1)) / a
-
-    return xh
+    a = _circular_associate(t, a)
+    return (theta_circular(RingElement(ParamPair.one_param(t), x(0), x(1)), a) * (t / a)).term
 
 
 def recombine_cubic(x: SequenceFn, t: RationalLike, a: Optional[RationalLike] = None) -> SequenceFn:
     """Rewrite a solution over cubic t as one over an associate a:
+    (t**2 - 1)/(a**2 - 1) * theta_cubic(X), so
 
         xh_{3k}   = x_{3k}
-        xh_{3k+1} = (a*x_{3k} + x_{3k+3}) / (a**2 - 1)
-        xh_{3k-1} = (x_{3k-3} + a*x_{3k}) / (a**2 - 1)
+        xh_{3k+1} = (a*x_{3k} + x_{3k+3}) / (a**2 - 1).
 
-    A scalar multiple of the theta_cubic image (scale (t**2-1)/(a**2-1)).
+    Only x(0) and x(1) are read: x must be a solution over t.
     """
     t = _frac(t)
-    cls = classify_cyclotomic(t)
-    if cls.kind != "cubic":
-        raise DegenerateParameterError("t = %s is not cubic" % t)
-    a = cls.associates[0] if a is None else _frac(a)
-    if a not in cls.associates:
-        raise DegenerateParameterError("a = %s is not an associate of t = %s" % (a, t))
-    denom = a * a - 1
-
-    def xh(n: int) -> Fraction:
-        if n % 3 == 0:
-            return x(n)
-        if n % 3 == 1:
-            return (a * x(n - 1) + x(n + 2)) / denom
-        return (x(n - 2) + a * x(n + 1)) / denom
-
-    return xh
+    a = _cubic_associate(t, a)
+    return (theta_cubic(RingElement(ParamPair.one_param(t), x(0), x(1)), a) * ((t * t - 1) / (a * a - 1))).term

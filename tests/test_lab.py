@@ -1,5 +1,6 @@
 """Experiment-lab sweeps: windows, divisor sets, partitions, density reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from seqlab import lab
 from seqlab.errors import DegenerateParameterError
 from seqlab.ring import ParamPair
-from seqlab.group import GroupElement
+from seqlab.group import GroupElement, class_w
 from seqlab.modp import in_admissible_set, ord_companion
+from seqlab.transforms import is_simple
 from seqlab.lab import (
     CONVENTIONS,
     CSV_HEADER,
@@ -185,3 +187,36 @@ def test_best_reference_deviation_prefers_pi_t():
         assert dev < 0.0012
     with pytest.raises(ValueError):
         best_reference_deviation(independence_report(5, 3, 17, 11, PrimeWindow("first", 50)))
+
+
+def test_independence_report_split_matches_closed_form(monkeypatch):
+    """X is the class of [Q*x0, T*x1 - Q*x0] over t = T**2/Q - 2, and the
+    determinant part is x1**2 - T*x0*x1 + Q*x0**2, on simple pairs with
+    Q < 0 included."""
+    seen = []
+
+    def record(elements, primes, processes=None):
+        seen.append(tuple(elements))
+        return [(False,) * len(elements) for _ in primes]
+
+    monkeypatch.setattr(lab, "divisor_flags", record)
+    rng = random.Random(913)
+    count = 0
+    for T in range(1, 10):
+        for Q in range(-9, 10):
+            if not Q or not is_simple(T, Q):
+                continue
+            t = F(T * T, Q) - 2
+            if t.denominator == 1 and t.numerator in (0, 1, -1, 2, -2):
+                continue
+            for _ in range(3):
+                x0, x1 = rng.randint(-20, 20), rng.randint(-20, 20)
+                det = x1 * x1 - T * x0 * x1 + Q * x0 * x0
+                if det == 0:
+                    continue
+                r = independence_report(T, Q, x0, x1, PrimeWindow("first", 12))
+                x = GroupElement.from_pair(ParamPair.one_param(t), Q * x0, T * x1 - Q * x0)
+                assert seen.pop() == (x, class_w(t) * x)
+                assert r.t == t and r.det_part == det
+                count += 1
+    assert count > 300

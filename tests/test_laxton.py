@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqlab.group
+import seqlab.laxton
+from seqlab.errors import DegenerateParameterError
 from seqlab.rational import is_rational_square
-from seqlab.ring import ParamPair, chebyshev_u
+from seqlab.ring import ParamPair, chebyshev_c, chebyshev_u
 from seqlab.group import (
     GroupElement,
     class_c,
@@ -300,3 +302,73 @@ def test_torsion_searches_the_base_once(monkeypatch):
     monkeypatch.setattr(seqlab.group, "_chebyshev_witnesses", lambda t: calls.append(t) or search(t))
     assert laxton_torsion(7).group_type == (4, 2)
     assert calls.count(F(3)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the closed forms xi_hom and xi_n_kernel replaced, as references
+# ---------------------------------------------------------------------------
+
+
+def closed_form_xi_hom(x, target):
+    """The coset of [T*x0, Q*(x0 + x1)] over target."""
+    return LaxtonElement.of(GroupElement.from_pair(target, target.T * x.a0, target.Q * (x.a0 + x.a1)))
+
+
+def closed_form_kernel(t, n):
+    """Coset k is [U_k(t), U_{n+k}(t)] over C_n(t)."""
+    ctx = ParamPair.one_param(chebyshev_c(t, n))
+    return tuple(GroupElement.from_pair(ctx, chebyshev_u(t, k), chebyshev_u(t, n + k)) for k in range(n))
+
+
+def _xi_targets():
+    """Integer (T, Q), Q < 0 included, whose split parameter is allowed."""
+    out = []
+    for T in range(-7, 8):
+        for Q in range(-7, 8):
+            if T and Q and T * T != 4 * Q:
+                t = F(T * T, Q) - 2
+                if not (t.denominator == 1 and t.numerator in (0, 1, -1, 2, -2)):
+                    out.append(ParamPair(T, Q))
+    return out
+
+
+def test_xi_hom_matches_closed_form():
+    rng = random.Random(912)
+    targets = _xi_targets()
+    assert any(p.Q < 0 for p in targets)
+    count = 0
+    for target in targets:
+        ctx = ParamPair.one_param(target.t)
+        for _ in range(7):
+            x = _small_class(rng, ctx)
+            assert xi_hom(x, target) == closed_form_xi_hom(x, target)
+            count += 1
+    assert count >= 1200
+
+
+@pytest.mark.parametrize("t", [F(3), F(-3), F(5, 2), F(-7, 3), F(19, 3), F(6, 5), F(11, 7), F(-9, 4)])
+def test_xi_n_kernel_matches_closed_form(t):
+    for n in range(1, 7):
+        assert xi_n_kernel(t, n) == closed_form_kernel(t, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_xi_n_kernel_rejects_small_degree(n):
+    with pytest.raises(DegenerateParameterError) as err:
+        xi_n_kernel(3, n)
+    assert str(err.value) == "kernel needs n >= 1, got %d" % n
+
+
+def test_laxton_order_walks_the_identity_once(monkeypatch):
+    """One laxton_order call walks the identity's coset once, not per power."""
+    walk = seqlab.laxton._canonical_shift
+    calls = []
+
+    def counted(g):
+        calls.append(g == identity_class(g.ctx))
+        return walk(g)
+
+    monkeypatch.setattr(seqlab.laxton, "_canonical_shift", counted)
+    g = GroupElement.from_pair(T3, 1, 5)  # free: no power up to the bound is a D-power
+    assert laxton_order(g, bound=24) is None
+    assert calls.count(True) == 1 and len(calls) > 12

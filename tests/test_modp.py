@@ -503,3 +503,29 @@ def test_excluded_prime_messages():
     for elem, p, t in ((x, 2, "3"), (x, 5, "3"), (x, 9, "3"), (y, 13, "19/3"), (y, 19, "19/3"), (y, 21, "19/3")):
         with pytest.raises(ExcludedPrimeError, match=r"^p = %d is not admissible for t = %s$" % (p, t)):
             divisor_table([elem], [7, p])
+
+
+def test_warm_rows_need_no_factoring(monkeypatch):
+    """Once the rows are cached, modp_reduce, qr_filter and ord_companion
+    factor nothing; ord_p and xi factor the group order themselves."""
+    t = F(19, 3)
+    primes = [p for p in odd_primes_below(800) if in_admissible_set(t, p)]
+    for p in primes:
+        ord_companion(t, p)
+    calls = []
+    real = modp.factorize
+    monkeypatch.setattr(modp, "factorize", lambda n: calls.append(n) or real(n))
+    x = GroupElement.from_pair(ParamPair.one_param(t), 2, 7)
+    reduced = []
+    for p in primes:
+        ord_companion(t, p)
+        qr_filter(x, p)
+        try:
+            reduced.append(modp_reduce(x, p))
+        except SingularElementError:
+            pass
+    assert calls == [] and len(reduced) > 100
+    for el in reduced:
+        assert ord_p(el) == pair_order(t, el.ctx.p, (el.a0, el.a1))
+        assert xi(t, el.ctx.p) == pair_order(t, el.ctx.p, (-1, 1))
+    assert len(calls) == 2 * len(reduced)

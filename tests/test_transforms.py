@@ -1,6 +1,7 @@
 """Transform layer: simple pairs, cyclotomic classification, the ring maps
 and the sequence recombinations, each checked against direct recursion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -357,3 +358,190 @@ def test_recombine_kind_guards():
         recombine_circular(lambda n: F(0), F(3))
     with pytest.raises(DegenerateParameterError):
         recombine_cubic(lambda n: F(0), F(6, 5))
+
+
+# ---------------------------------------------------------------------------
+# the per-index closed forms, as references for the compositions
+# ---------------------------------------------------------------------------
+
+
+def _sign(k):
+    return 1 if k % 2 == 0 else -1
+
+
+def closed_form_recombine(u, T, Q, Th, Qh):
+    """The interleaving rules for y, z over (T, Q) and y_twin, z_twin over
+    the twin (Th, Qh), written per index parity from u(k) = x_k."""
+
+    def y(n):
+        if n % 2 == 0:
+            k = n // 2
+            return Q ** (k - 1) * u(k)
+        k = (n + 1) // 2
+        return Q ** (k - 1) * (u(k) + u(k - 1)) / T
+
+    def z(n):
+        if n % 2 == 0:
+            k = n // 2
+            return Q ** (k - 1) * (u(k + 1) - u(k - 1))
+        k = (n + 1) // 2
+        return T * Q ** (k - 2) * (u(k) - u(k - 1))
+
+    def y_twin(n):
+        if n % 2 == 0:
+            k = n // 2
+            return _sign(k) * Qh ** (k - 1) * u(k)
+        k = (n + 1) // 2
+        return _sign(k) * Qh ** (k - 1) * (u(k) - u(k - 1)) / Th
+
+    def z_twin(n):
+        if n % 2 == 0:
+            k = n // 2
+            return _sign(k + 1) * Qh ** (k - 1) * (u(k + 1) - u(k - 1))
+        k = (n + 1) // 2
+        return _sign(k) * Th * Qh ** (k - 2) * (u(k) + u(k - 1))
+
+    return y, z, y_twin, z_twin
+
+
+def closed_form_circular(u, a):
+    """xh_{2k} = (-1)**(k-1) x_{2k}, xh_{2k+1} = (-1)**k (x_{2k+2} - x_{2k}) / a."""
+
+    def xh(n):
+        if n % 2 == 0:
+            return -_sign(n // 2) * u(n)
+        return _sign((n - 1) // 2) * (u(n + 1) - u(n - 1)) / a
+
+    return xh
+
+
+def closed_form_cubic(u, a):
+    """xh_{3k} = x_{3k}; the other residues mix x_{3k} and x_{3k+-3}."""
+    denom = a * a - 1
+
+    def xh(n):
+        if n % 3 == 0:
+            return u(n)
+        if n % 3 == 1:
+            return (a * u(n - 1) + u(n + 2)) / denom
+        return (u(n - 2) + a * u(n + 1)) / denom
+
+    return xh
+
+
+def closed_form_theta_circular(x, t, a):
+    return make_element(ParamPair.one_param(a), -a * x.x0 / t, (x.term(2) - x.x0) / t)
+
+
+def closed_form_theta_cubic(x, t, a):
+    return make_element(ParamPair.one_param(a), (a * a - 1) * x.x0 / (t * t - 1), (a * x.x0 + x.term(3)) / (t * t - 1))
+
+
+def _rational(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _term_table(x, lo, hi):
+    """x_n for lo <= n < hi, as a lookup."""
+    return dict(zip(range(lo, hi), x.terms(lo, hi))).__getitem__
+
+
+def _recombine_pairs():
+    """Integer (T, Q) with 0 < |T|, |Q| <= 9 and T**2 != 4Q, Q < 0 included,
+    and 21 seeded fractional pairs."""
+    pairs = [ParamPair(T, Q) for T in range(-9, 10) for Q in range(-9, 10) if T and Q and T * T != 4 * Q]
+    rng = random.Random(907)
+    while len(pairs) < 339:
+        T, Q = F(rng.randint(-9, 9), rng.randint(2, 5)), F(rng.randint(-9, 9), rng.randint(2, 5))
+        if T and Q and T * T != 4 * Q:
+            pairs.append(ParamPair(T, Q))
+    return pairs
+
+
+def test_recombine_matches_closed_forms():
+    """339 (T, Q) x the 4 rebuilt sequences x n in [-15, 15]."""
+    rng = random.Random(908)
+    pairs = _recombine_pairs()
+    assert len(pairs) == 339 and any(p.Q < 0 for p in pairs)
+    for target in pairs:
+        x = make_element(ParamPair.one_param(target.t), _rational(rng), _rational(rng))
+        rec = recombine(x, target)
+        refs = closed_form_recombine(_term_table(x, -9, 10), target.T, target.Q, rec.twin.T, rec.twin.Q)
+        for got, ref in zip((rec.y, rec.z, rec.y_twin, rec.z_twin), refs):
+            assert [got(n) for n in range(-15, 16)] == [ref(n) for n in range(-15, 16)]
+
+
+# circular t = 2(1 - m**2)/(1 + m**2), with associate a = 4m/(1 + m**2)
+CIRCULAR_TS = [2 * (1 - m * m) / (1 + m * m) for m in (F(1, 2), F(2, 3), F(3, 2), F(1, 4), F(-2, 5), F(5, 7), F(-3, 8))]
+# cubic t = 2(1 - 3m**2)/(1 + 3m**2), a rational point of t**2 + 3f**2 = 4
+CUBIC_TS = [2 * (1 - 3 * m * m) / (1 + 3 * m * m) for m in (F(1, 2), F(2, 3), F(1, 5), F(3, 4), F(-2, 7), F(4, 5))]
+
+
+def _associate_grid():
+    """(t, kind, a, a resolved) for every t above and a in (default, both
+    associates); the default is a > 0, resp. (-t + 3f)/2."""
+    grid = []
+    for t in CIRCULAR_TS:
+        cls = classify_cyclotomic(t)
+        assert cls.kind == "circular"
+        grid += [(t, "circular", a, cls.a if a is None else a) for a in (None, cls.a, -cls.a)]
+    for t in CUBIC_TS:
+        cls = classify_cyclotomic(t)
+        assert cls.kind == "cubic"
+        grid += [(t, "cubic", a, cls.associates[0] if a is None else a) for a in (None,) + cls.associates]
+    return grid
+
+
+def test_cyclotomic_recombinations_match_closed_forms():
+    """195 circular and cubic recombinations, n in [-15, 15]."""
+    rng = random.Random(909)
+    count = 0
+    for t, kind, a, a_used in _associate_grid():
+        for _ in range(5):
+            x = make_element(ParamPair.one_param(t), _rational(rng), _rational(rng))
+            u = _term_table(x, -18, 19)
+            if kind == "circular":
+                got, ref = recombine_circular(x.term, t, a), closed_form_circular(u, a_used)
+            else:
+                got, ref = recombine_cubic(x.term, t, a), closed_form_cubic(u, a_used)
+            assert [got(n) for n in range(-15, 16)] == [ref(n) for n in range(-15, 16)]
+            count += 1
+    assert count == 195
+
+
+def test_recombinations_read_only_the_first_two_terms():
+    t = F(6, 5)
+    x = make_element(ParamPair.one_param(t), 3, -2)
+    read = []
+    xh = recombine_circular(lambda n: read.append(n) or x.term(n), t)
+    assert [xh(n) for n in range(-6, 7)] == [closed_form_circular(x.term, F(8, 5))(n) for n in range(-6, 7)]
+    assert sorted(read) == [0, 1]
+
+
+def test_thetas_match_closed_forms():
+    """1 404 theta images over both families and every associate."""
+    rng = random.Random(910)
+    count = 0
+    for t, kind, a, a_used in _associate_grid():
+        theta, ref = (theta_circular, closed_form_theta_circular) if kind == "circular" else (theta_cubic, closed_form_theta_cubic)
+        for _ in range(36):
+            x = make_element(ParamPair.one_param(t), _rational(rng), _rational(rng))
+            assert theta(x, a) == ref(x, t, a_used)
+            count += 1
+    assert count == 1404
+
+
+@pytest.mark.parametrize("fn, t, a, message", [
+    (theta_circular, F(3), None, "t = 3 is not circular"),
+    (theta_circular, F(6, 5), F(1, 2), "a = 1/2 does not satisfy t**2 + a**2 = 4"),
+    (theta_cubic, F(3), None, "t = 3 is not cubic"),
+    (theta_cubic, F(11, 7), F(1, 2), "a = 1/2 is not an associate of t = 11/7"),
+])
+def test_theta_error_messages(fn, t, a, message):
+    with pytest.raises(DegenerateParameterError) as err:
+        fn(make_element(ParamPair.one_param(t), 1, 2), a)
+    assert str(err.value) == message
+    recombine_fn = recombine_circular if fn is theta_circular else recombine_cubic
+    with pytest.raises(DegenerateParameterError) as err:
+        recombine_fn(lambda n: F(n), t, a)
+    assert str(err.value) == message
