@@ -44,7 +44,6 @@ from .ring import (
     elem_w,
     identity,
     make_element,
-    seq_term,
     u_pair,
 )
 from .transforms import (
@@ -134,7 +133,7 @@ __all__ = [
     "SingularElementError", "DegenerateParameterError", "ExcludedPrimeError",
     "parse_rational", "format_rational", "rational_sqrt", "is_rational_square",
     "squarefree_decompose",
-    "ParamPair", "RingElement", "make_element", "seq_term", "identity",
+    "ParamPair", "RingElement", "make_element", "identity",
     "companion", "elem_c", "elem_w", "elem_v", "u_pair",
     "chebyshev_u", "chebyshev_c",
     "EXCLUDED_PARAMS", "check_parameter", "is_simple", "simple_reduce",

@@ -1,24 +1,27 @@
 """Command-line front end.
 
 Every subcommand prints text by default and supports --format json (and csv
-where tabular output makes sense).  Exit codes: 0 on success, 2 for invalid
-or excluded input, 1 for a violated arithmetic invariant (InvariantError).
+where tabular output makes sense).  A subcommand returns an `Output` and
+`main` alone prints it, once the command has finished.  Exit codes: 0 on
+success, 2 for invalid or excluded input, 1 for a violated arithmetic
+invariant (InvariantError).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, SeqLabError
 from .rational import format_rational, parse_rational
 from .ring import ParamPair, make_element
-from .transforms import classify_cyclotomic, check_parameter
+from .transforms import classify_cyclotomic
 from .group import GroupElement, group_sqrt, primitivity
 from .laxton import laxton_eq, laxton_torsion
 from . import lab
@@ -76,6 +79,7 @@ def _add_context_args(p: argparse.ArgumentParser, t_only: bool = False) -> None:
 
 
 def _add_window_args(p: argparse.ArgumentParser, default: str) -> None:
+    p.set_defaults(default_window=default)
     p.add_argument("--window", type=_window_arg, default=None, metavar="MODE:SIZE",
                    help="prime window, 'first:K' or 'below:B' (default %s)" % default)
     p.add_argument("--primes", type=_primes_arg, default=None, metavar="K",
@@ -84,12 +88,12 @@ def _add_window_args(p: argparse.ArgumentParser, default: str) -> None:
                    help="sweep the window with N worker processes")
 
 
-def _resolve_window(args: argparse.Namespace, default: str) -> PrimeWindow:
+def _resolve_window(args: argparse.Namespace) -> PrimeWindow:
     if args.window is not None and args.primes is not None:
         raise SeqLabError("give either --window or --primes, not both")
     if args.primes is not None:
         return args.primes
-    return args.window if args.window is not None else PrimeWindow.parse(default)
+    return args.window if args.window is not None else PrimeWindow.parse(args.default_window)
 
 
 def _context(args: argparse.Namespace) -> ParamPair:
@@ -111,22 +115,14 @@ def _require_t(args: argparse.Namespace) -> Fraction:
     return args.t
 
 
-def _emit_json(payload: dict) -> int:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
-    return 0
+class Output(NamedTuple):
+    """A subcommand's result in every format: the --format json document,
+    the text lines, and the csv (header, rows), or None where csv is not
+    defined.  Only `main` prints it, so an error leaves stdout empty."""
 
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> int:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return 0
-
-
-def _no_csv(what: str) -> int:
-    raise SeqLabError("csv output is not defined for %s" % what)
+    payload: dict
+    lines: List[str]
+    table: Optional[Tuple[Sequence[str], List[Sequence[object]]]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -134,31 +130,22 @@ def _no_csv(what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_seq(args: argparse.Namespace) -> int:
+def cmd_seq(args: argparse.Namespace) -> Output:
     ctx = _context(args)
     x = make_element(ctx, *args.x)
     lo, hi = args.range
-    # format every term before printing any, so a term too long to print
-    # fails with nothing on stdout
     terms = [[n, format_rational(v)] for n, v in zip(range(lo, hi + 1), x.terms(lo, hi + 1))]
-    if args.format == "json":
-        payload = {
-            "context": ctx.to_dict(),
-            "x": [format_rational(x.x0), format_rational(x.x1)],
-            "range": [lo, hi],
-            "terms": terms,
-        }
-        return _emit_json(payload)
-    if args.format == "csv":
-        return _emit_csv(["n", "value"], terms)
-    for n, v in terms:
-        print("x_%d = %s" % (n, v))
-    return 0
+    payload = {
+        "context": ctx.to_dict(),
+        "x": [format_rational(x.x0), format_rational(x.x1)],
+        "range": [lo, hi],
+        "terms": terms,
+    }
+    return Output(payload, ["x_%d = %s" % (n, v) for n, v in terms], (["n", "value"], terms))
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Output:
     t = _require_t(args)
-    check_parameter(t)
     cls = classify_cyclotomic(t)
     report = primitivity(t)
     payload: dict = {
@@ -169,182 +156,138 @@ def cmd_classify(args: argparse.Namespace) -> int:
             {"r": w.r, "u": format_rational(w.u), "sign": w.sign} for w in report.witnesses
         ],
     }
+    lines = ["t = %s: %s" % (payload["t"], payload["kind"])]
     if cls.kind == "circular":
         payload["a"] = format_rational(cls.a)
         payload["circular_primitive"] = report.circular_primitive
+        lines.append("  a = %s (t^2 + a^2 = 4), circular-primitive: %s"
+                     % (payload["a"], payload["circular_primitive"]))
     elif cls.kind == "cubic":
         payload["f"] = format_rational(cls.f)
         payload["associates"] = [format_rational(a) for a in cls.associates]
-    if not report.is_primitive:
+        lines.append("  f = %s, associates a = %s" % (payload["f"], ", ".join(payload["associates"])))
+    if report.is_primitive:
+        lines.append("  primitive: no prime-order Chebyshev preimage")
+    else:
         m, u, sign = report.decomposition
         payload["decomposition"] = {"m": m, "u": format_rational(u), "sign": sign}
-    if args.format == "json":
-        return _emit_json(payload)
-    if args.format == "csv":
-        return _no_csv("classify")
-    print("t = %s: %s" % (payload["t"], payload["kind"]))
-    if cls.kind == "circular":
-        print("  a = %s (t^2 + a^2 = 4), circular-primitive: %s"
-              % (payload["a"], payload["circular_primitive"]))
-    elif cls.kind == "cubic":
-        print("  f = %s, associates a = %s" % (payload["f"], ", ".join(payload["associates"])))
-    if report.is_primitive:
-        print("  primitive: no prime-order Chebyshev preimage")
-    else:
-        parts = ", ".join(
-            "t = %sC_%d(%s)" % ("" if w.sign > 0 else "-", w.r, format_rational(w.u))
-            for w in report.witnesses
-        )
-        print("  imprimitive: %s" % parts)
-        d = payload["decomposition"]
-        print("  maximal decomposition: m = %d, u = %s, sign = %+d" % (d["m"], d["u"], d["sign"]))
-    return 0
+        lines.append("  imprimitive: %s" % ", ".join(
+            "t = %sC_%d(%s)" % ("" if w["sign"] > 0 else "-", w["r"], w["u"]) for w in payload["witnesses"]
+        ))
+        lines.append("  maximal decomposition: m = %d, u = %s, sign = %+d"
+                     % (m, payload["decomposition"]["u"], sign))
+    return Output(payload, lines)
 
 
-def cmd_torsion(args: argparse.Namespace) -> int:
+def cmd_torsion(args: argparse.Namespace) -> Output:
     table = laxton_torsion(_require_t(args))
-    if args.format == "json":
-        return _emit_json(table.to_dict())
-    if args.format == "csv":
-        return _emit_csv(
-            ["a0", "a1", "order"],
-            [[e.element.rep.a0, e.element.rep.a1, e.order] for e in table.entries],
-        )
-    print("torsion of the class group at t = %s (%s)" % (format_rational(table.t), table.kind))
+    lines = ["torsion of the class group at t = %s (%s)" % (format_rational(table.t), table.kind)]
     if table.group_type:
-        print("  structure: Z/%d x Z/%d%s" % (table.group_type[0], table.group_type[1],
-                                              "" if table.enumerated else " (structural)"))
-    for e in table.entries:
-        print("  [%d, %d]  order %d" % (e.element.rep.a0, e.element.rep.a1, e.order))
+        lines.append("  structure: Z/%d x Z/%d%s" % (table.group_type[0], table.group_type[1],
+                                                    "" if table.enumerated else " (structural)"))
+    reps = [(e.element.rep.a0, e.element.rep.a1, e.order) for e in table.entries]
+    lines += ["  [%d, %d]  order %d" % rep for rep in reps]
     if table.note:
-        print("  note: %s" % table.note)
-    return 0
+        lines.append("  note: %s" % table.note)
+    return Output(table.to_dict(), lines, (["a0", "a1", "order"], reps))
 
 
-def cmd_sqrt(args: argparse.Namespace) -> int:
+def cmd_sqrt(args: argparse.Namespace) -> Output:
     ctx = _context(args)
     y = GroupElement.from_pair(ctx, *args.x)
-    roots = group_sqrt(y)
-    if args.format == "json":
-        return _emit_json({
-            "context": ctx.to_dict(),
-            "y": [format_rational(y.a0), format_rational(y.a1)],
-            "roots": [[format_rational(r.a0), format_rational(r.a1)] for r in roots],
-        })
-    if args.format == "csv":
-        return _emit_csv(["a0", "a1"], [[format_rational(r.a0), format_rational(r.a1)] for r in roots])
-    if not roots:
-        print("no square roots: det is not a rational square")
-    for r in roots:
-        print("[%s, %s]" % (format_rational(r.a0), format_rational(r.a1)))
-    return 0
+    roots = [[format_rational(r.a0), format_rational(r.a1)] for r in group_sqrt(y)]
+    payload = {
+        "context": ctx.to_dict(),
+        "y": [format_rational(y.a0), format_rational(y.a1)],
+        "roots": roots,
+    }
+    lines = ["[%s, %s]" % tuple(r) for r in roots] or ["no square roots: det is not a rational square"]
+    return Output(payload, lines, (["a0", "a1"], roots))
 
 
-def cmd_laxton_eq(args: argparse.Namespace) -> int:
+def cmd_laxton_eq(args: argparse.Namespace) -> Output:
     ctx = _context(args)
     x = GroupElement.from_pair(ctx, *args.x)
     y = GroupElement.from_pair(ctx, *args.y)
     witness = laxton_eq(x, y)
-    if args.format == "json":
-        payload = {
-            "context": ctx.to_dict(),
-            "x": [format_rational(x.a0), format_rational(x.a1)],
-            "y": [format_rational(y.a0), format_rational(y.a1)],
-            "equivalent": witness is not None,
-        }
-        if witness is not None:
-            payload["witness"] = {"k": witness.k, "scale": format_rational(witness.scale)}
-        return _emit_json(payload)
-    if args.format == "csv":
-        return _no_csv("laxton-eq")
+    payload = {
+        "context": ctx.to_dict(),
+        "x": [format_rational(x.a0), format_rational(x.a1)],
+        "y": [format_rational(y.a0), format_rational(y.a1)],
+        "equivalent": witness is not None,
+    }
     if witness is None:
-        print("not equivalent")
-    else:
-        print("equivalent: x = %s * D^%d * y" % (format_rational(witness.scale), witness.k))
-    return 0
+        return Output(payload, ["not equivalent"])
+    payload["witness"] = {"k": witness.k, "scale": format_rational(witness.scale)}
+    return Output(payload, ["equivalent: x = %s * D^%d * y" % (payload["witness"]["scale"], witness.k)])
 
 
-def cmd_divisors(args: argparse.Namespace) -> int:
+def cmd_divisors(args: argparse.Namespace) -> Output:
     t = _require_t(args)
-    window = _resolve_window(args, "first:300")
+    window = _resolve_window(args)
     x = GroupElement.from_pair(ParamPair.one_param(t), *args.x)
     eligible, excluded = lab.window_split(t, window)
     flags = lab.divisor_flags([x], eligible, processes=args.parallel)
     members = [p for p, (hit,) in zip(eligible, flags) if hit]
-    if args.format == "json":
-        return _emit_json({
-            "t": format_rational(t),
-            "x": [format_rational(x.a0), format_rational(x.a1)],
-            "window": window.to_dict(),
-            "eligible": len(eligible),
-            "excluded": excluded,
-            "gamma": members,
-            "density_pi_t": len(members) / len(eligible) if eligible else None,
-        })
-    if args.format == "csv":
-        return _emit_csv(["p"], [[p] for p in members])
-    print("Gamma([%s, %s]) at t = %s, window %s:%d"
-          % (format_rational(x.a0), format_rational(x.a1), format_rational(t),
-             window.mode, window.size))
-    print("  %d of %d admissible primes (%d excluded from window)"
-          % (len(members), len(eligible), len(excluded)))
-    print("  " + " ".join(str(p) for p in members))
-    return 0
+    payload = {
+        "t": format_rational(t),
+        "x": [format_rational(x.a0), format_rational(x.a1)],
+        "window": window.to_dict(),
+        "eligible": len(eligible),
+        "excluded": excluded,
+        "gamma": members,
+        "density_pi_t": len(members) / len(eligible) if eligible else None,
+    }
+    lines = [
+        "Gamma([%s, %s]) at t = %s, window %s:%d"
+        % (payload["x"][0], payload["x"][1], payload["t"], window.mode, window.size),
+        "  %d of %d admissible primes (%d excluded from window)"
+        % (len(members), len(eligible), len(excluded)),
+        "  " + " ".join(map(str, members)),
+    ]
+    return Output(payload, lines, (["p"], [[p] for p in members]))
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
+def cmd_partition(args: argparse.Namespace) -> Output:
     t = _require_t(args)
-    window = _resolve_window(args, "first:300")
+    window = _resolve_window(args)
     if args.cubic:
         part = lab.cubic_partition(t, window, processes=args.parallel)
-        payload = part.to_dict()
         label = "Gamma(S)"
     else:
         if args.x is None:
             raise SeqLabError("--x is required unless --cubic is given")
         x = GroupElement.from_pair(ParamPair.one_param(t), *args.x)
         part = lab.partition_six(x, window, processes=args.parallel)
-        payload = part.to_dict()
         label = "Gamma(X^2)"
-    if args.format == "json":
-        return _emit_json(payload)
-    if args.format == "csv":
-        return _emit_csv(
-            ["cell", "count", "primes"],
-            [[name, len(ps), " ".join(map(str, ps))] for name, ps in payload["cells"].items()],
-        )
-    print("partition of %s at t = %s, window %s:%d (%d admissible primes)"
-          % (label, payload["t"], window.mode, window.size, payload["eligible"]))
-    for name, ps in payload["cells"].items():
-        print("  %-6s %4d  %s" % (name, len(ps), " ".join(map(str, ps))))
-    return 0
+    payload = part.to_dict()
+    cells = [(name, len(ps), " ".join(map(str, ps))) for name, ps in payload["cells"].items()]
+    lines = ["partition of %s at t = %s, window %s:%d (%d admissible primes)"
+             % (label, payload["t"], window.mode, window.size, payload["eligible"])]
+    lines += ["  %-6s %4d  %s" % cell for cell in cells]
+    return Output(payload, lines, (["cell", "count", "primes"], cells))
 
 
-def cmd_table3(args: argparse.Namespace) -> int:
-    window = _resolve_window(args, "first:1200")
-    reports = lab.table3(window, processes=args.parallel, full=args.full)
+def cmd_table3(args: argparse.Namespace) -> Output:
+    reports = lab.table3(_resolve_window(args), processes=args.parallel, full=args.full)
     for rep in reports:
         dev = lab.reference_deviation(rep, args.convention)
         if dev > 0.01:
             print("warning: (T, Q) = (%d, %d) deviates from the reference by %.4f"
                   % (rep.T, rep.Q, dev), file=sys.stderr)
-    if args.format == "json":
-        return _emit_json({"convention": args.convention, "rows": [r.to_dict() for r in reports]})
-    if args.format == "text":
-        print("%-8s %-8s %-10s %-10s %-10s %-10s" % ("T,Q", "x", "X", "WX", "both", "product"))
-        for rep in reports:
-            dens = rep.densities(args.convention)
-            print("%-8s %-8s %-10.3f %-10.3f %-10.3f %-10.3f"
-                  % ("%d,%d" % (rep.T, rep.Q), "%d,%d" % (rep.x0, rep.x1),
-                     dens["x"], dens["wx"], dens["intersection"], dens["product"]))
-        return 0
-    return _emit_csv(lab.CSV_HEADER, [r.csv_row(args.convention) for r in reports])
+    rows = [r.to_dict() for r in reports]
+    lines = ["%-8s %-8s %-10s %-10s %-10s %-10s" % ("T,Q", "x", "X", "WX", "both", "product")]
+    for row in rows:
+        dens = row["densities"][args.convention]
+        lines.append("%-8s %-8s %-10.3f %-10.3f %-10.3f %-10.3f"
+                     % ("%d,%d" % (row["T"], row["Q"]), "%d,%d" % tuple(row["x"]),
+                        dens["x"], dens["wx"], dens["intersection"], dens["product"]))
+    payload = {"convention": args.convention, "rows": rows}
+    return Output(payload, lines, (lab.CSV_HEADER, [r.csv_row(args.convention) for r in reports]))
 
 
-def cmd_independence(args: argparse.Namespace) -> int:
-    window = _resolve_window(args, "first:1200")
-    if args.big_t is None or args.big_q is None:
-        raise SeqLabError("--T and --Q are required")
+def cmd_independence(args: argparse.Namespace) -> Output:
+    window = _resolve_window(args)
     T, Q = args.big_t, args.big_q
     if T.denominator != 1 or Q.denominator != 1:
         raise SeqLabError("--T and --Q must be integers")
@@ -355,21 +298,18 @@ def cmd_independence(args: argparse.Namespace) -> int:
         int(T), int(Q), int(x0), int(x1), window,
         processes=args.parallel, full=args.full,
     )
-    if args.format == "json":
-        return _emit_json(rep.to_dict())
-    if args.format == "csv":
-        return _emit_csv(lab.CSV_HEADER, [rep.csv_row(args.convention)])
-    dens = rep.densities(args.convention)
-    print("independence of even/odd divisor sets for (T, Q) = (%d, %d), x = [%d, %d]"
-          % (rep.T, rep.Q, rep.x0, rep.x1))
-    print("  t = %s, window %s:%d, %d admissible primes (%d excluded)"
-          % (format_rational(rep.t), window.mode, window.size,
-             rep.eligible_count, len(rep.excluded)))
-    print("  |G_X| = %d, |G_WX| = %d, |G_X & G_WX| = %d"
-          % (rep.count_x, rep.count_wx, rep.count_both))
-    print("  densities (%s): X %.3f, WX %.3f, intersection %.3f, product %.3f"
-          % (args.convention, dens["x"], dens["wx"], dens["intersection"], dens["product"]))
-    return 0
+    payload = rep.to_dict()
+    dens = payload["densities"][args.convention]
+    lines = [
+        "independence of even/odd divisor sets for (T, Q) = (%d, %d), x = [%d, %d]"
+        % (rep.T, rep.Q, rep.x0, rep.x1),
+        "  t = %s, window %s:%d, %d admissible primes (%d excluded)"
+        % (payload["t"], window.mode, window.size, rep.eligible_count, len(rep.excluded)),
+        "  |G_X| = %d, |G_WX| = %d, |G_X & G_WX| = %d" % (rep.count_x, rep.count_wx, rep.count_both),
+        "  densities (%s): X %.3f, WX %.3f, intersection %.3f, product %.3f"
+        % (args.convention, dens["x"], dens["wx"], dens["intersection"], dens["product"]),
+    ]
+    return Output(payload, lines, (lab.CSV_HEADER, [rep.csv_row(args.convention)]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if args.format == "json":
+            text = json.dumps(out.payload, indent=2) + "\n"
+        elif args.format == "text":
+            text = "".join(line + "\n" for line in out.lines)
+        elif out.table is None:
+            raise SeqLabError("csv output is not defined for %s" % args.command)
+        else:
+            buf = io.StringIO()
+            csv.writer(buf).writerows([out.table[0], *out.table[1]])
+            text = buf.getvalue()
+        sys.stdout.write(text)
+        return 0
     except SeqLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -18,12 +18,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from . import primes as _primes
 from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
-from .rational import divisors, factorize, is_rational_square, rational_sqrt
+from .rational import divisors, iroot, is_rational_square, rational_sqrt
 from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, chebyshev_u, _frac
 from .transforms import check_parameter, classify_cyclotomic
 
@@ -211,20 +211,18 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
     """All rational u with C_r(u) = +-t for a prime r, by exact rational root search.
 
     C_r is monic with integer coefficients, so a root p/q in lowest terms has
-    den(C_r(p/q)) = q**r: r must divide the gcd g of the exponents of den(t)
-    (g = 0, allowing every r, for integer t), and q = prod f**(e/r) is the
-    only denominator to try.  Clearing it, d*C_r(u) -+ n = 0 has constant
-    term d*C_r(0) -+ n, so p | |constant|.  (The constant is nonzero whenever
-    t is outside the excluded set, since C_r(0) is 0 or +-2.)
+    den(C_r(p/q)) = q**r: den(t) must be an exact r-th power, and its integer
+    r-th root q is the only denominator to try (no factoring of den(t)).
+    Clearing it, d*C_r(u) -+ n = 0 has constant term d*C_r(0) -+ n, so
+    p | |constant|.  (The constant is nonzero whenever t is outside the
+    excluded set, since C_r(0) is 0 or +-2.)
     """
     n, d = t.numerator, t.denominator
-    den_factors = factorize(d)
-    g = gcd(*den_factors.values())
     out: List[ChebyshevWitness] = []
     for r in _primes.primes_below(_witness_prime_bound(t) + 1):
-        if g % r:
+        q = iroot(d, r)
+        if q ** r != d:
             continue
-        q = prod(f ** (e // r) for f, e in den_factors.items())
         c0 = int(chebyshev_c(0, r))
         for sign in (1, -1):
             const = d * c0 - sign * n

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
-from .ring import ParamPair, RationalLike, companion, _frac
+from .ring import ParamPair, RationalLike, companion, u_pair, _frac
 from .transforms import classify_cyclotomic, phi_inverse, phi_r
 from .group import (
     GroupElement,
@@ -55,8 +55,6 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
     k = _find_d_power(x * y.inverse())
     if k is None:
         return None
-    from .ring import u_pair
-
     zr = x.ring_element() * y.ring_element().inverse()
     uk, uk1 = u_pair(x.ctx, k)
     scale = zr.x0 / uk if uk != 0 else zr.x1 / uk1

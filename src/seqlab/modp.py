@@ -177,6 +177,8 @@ def _power_is_scalar(t_p: int, p: int, m: int, a0: int, a1: int) -> bool:
     """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar."""
     s = _class_s(t_p, p, a0, a1)
     return s is not None and _lucas_v(s, p, m) == 2
+
+
 def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """is_divisor(x, p) for each element x, one row per prime p.
 

@@ -61,6 +61,24 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def iroot(n: int, r: int) -> int:
+    """The integer r-th root floor(n**(1/r)) of n >= 0, by Newton's method.
+
+    Starting above the root, each step q -> ((r - 1)*q + n // q**(r - 1)) // r
+    stays at or above it until q**r <= n.
+    """
+    if n < 0 or r < 1:
+        raise ValueError("iroot needs n >= 0 and r >= 1")
+    if n < 2:
+        return n
+    q = 1 << -(-n.bit_length() // r)
+    while True:
+        nxt = ((r - 1) * q + n // q ** (r - 1)) // r
+        if nxt >= q:
+            return q
+        q = nxt
+
+
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """The nonnegative exact square root of x, or None if x is not a square.
 

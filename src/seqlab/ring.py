@@ -163,9 +163,6 @@ class RingElement:
         q = self.ctx.Q
         return ((-q * self.x_minus1, -q * self.x0), (self.x0, self.x1))
 
-    def is_zero(self) -> bool:
-        return self.x0 == 0 and self.x1 == 0
-
     # -- the carried sequence ---------------------------------------------
 
     def term(self, n: int) -> Fraction:
@@ -240,10 +237,6 @@ class RingElement:
 
 def make_element(ctx: ParamPair, x0: RationalLike, x1: RationalLike) -> RingElement:
     return RingElement(ctx, _frac(x0), _frac(x1))
-
-
-def seq_term(x: RingElement, n: int) -> Fraction:
-    return x.term(n)
 
 
 def identity(ctx: ParamPair) -> RingElement:

@@ -34,7 +34,7 @@ from math import gcd
 from typing import Callable, Optional, Tuple
 
 from .errors import ContextMismatchError, DegenerateParameterError, InvariantError
-from .rational import rational_sqrt, squarefree_decompose
+from .rational import factorize, rational_sqrt, squarefree_decompose
 from .ring import (
     ParamPair,
     RationalLike,
@@ -48,7 +48,7 @@ from .ring import (
 EXCLUDED_PARAMS = (0, 1, -1, 2, -2)
 
 
-def check_parameter(t: Fraction, what: str = "t") -> Fraction:
+def check_parameter(t: Fraction) -> Fraction:
     """Reject the degenerate parameters t in {0, +-1, +-2}.
 
     At t = +-2 the discriminant vanishes; at t in {0, +-1} the companion
@@ -57,7 +57,7 @@ def check_parameter(t: Fraction, what: str = "t") -> Fraction:
     """
     t = _frac(t)
     if t.denominator == 1 and t.numerator in EXCLUDED_PARAMS:
-        raise DegenerateParameterError("%s = %s is excluded (needs t outside {0, +-1, +-2})" % (what, t))
+        raise DegenerateParameterError("t = %s is excluded (needs t outside {0, +-1, +-2})" % t)
     return t
 
 
@@ -73,8 +73,6 @@ def is_simple(T: int, Q: int) -> bool:
     T, Q = int(T), int(Q)
     if T == 0 or Q == 0:
         return False
-    from .rational import factorize
-
     # such a prime divides gcd(T, Q): factor that, not a huge T
     return all(Q % (p * p) != 0 for p in factorize(gcd(T, Q)))
 

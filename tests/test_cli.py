@@ -264,14 +264,22 @@ def test_classify_huge_numerator_over_a_prime_terminates():
 P64 = str(2**64 - 59)  # a prime; trial division up to its root would not finish
 
 
+DEN34 = str(10**33 + 57)  # a composite 34-digit denominator
+
+
 @pytest.mark.parametrize("argv", [
     ["independence", "--T", P64, "--Q", P64, "--x", "1,2", "--window", "first:5"],
     ["classify", "--t", "1/" + P64],
     ["classify", "--t", P64],
     ["torsion", "--t", "5/" + P64],
+    ["classify", "--t", "1/" + DEN34],
+    ["classify", "--t", "5/" + DEN34],
+    ["torsion", "--t", "1/" + DEN34],
+    ["torsion", "--t", "5/" + DEN34],
 ])
 def test_prime_cofactor_ends_trial_division(argv):
-    """factorize stops once the cofactor is a prime is_prime decides exactly."""
+    """factorize stops once the cofactor is a prime is_prime decides exactly,
+    and the witness search takes integer roots of den t instead of factoring it."""
     src = os.path.dirname(os.path.dirname(seqlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "seqlab"] + argv, capture_output=True, text=True, timeout=20, env=env)
@@ -284,6 +292,55 @@ def test_seq_term_past_the_int_printing_limit_is_a_domain_error(capsys, fmt):
     code, out, err = run(capsys, "seq", "--t", "3", "--x", "1,1", "--range", "11000..11000", "--format", fmt)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t", "3"],
+    ["laxton-eq", "--t", "3", "--x", "2,9", "--y", "25,66"],
+])
+def test_csv_is_not_defined_for_classify_and_laxton_eq(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == "error: csv output is not defined for %s\n" % argv[0]
+
+
+# small argv for each subcommand, with its csv header (None: csv not defined)
+SMALL_ARGV = {
+    "seq": (["seq", "--t", "3", "--x", "1,1"], ["n", "value"]),
+    "classify": (["classify", "--t", "7"], None),
+    "torsion": (["torsion", "--t", "6/5"], ["a0", "a1", "order"]),
+    "sqrt": (["sqrt", "--t", "3", "--x", "1,3"], ["a0", "a1"]),
+    "laxton-eq": (["laxton-eq", "--t", "3", "--x", "2,9", "--y", "25,66"], None),
+    "divisors": (["divisors", "--t", "3", "--x", "1,4", "--primes", "20"], ["p"]),
+    "partition": (["partition", "--t", "3", "--x", "1,4", "--primes", "20"], ["cell", "count", "primes"]),
+    "table3": (["table3", "--primes", "20"], list(CSV_HEADER)),
+    "independence": (["independence", "--T", "5", "--Q", "3", "--x", "17,11", "--primes", "20"], list(CSV_HEADER)),
+}
+
+
+def test_small_argv_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(SMALL_ARGV)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(SMALL_ARGV))
+def test_every_subcommand_renders_every_format(capsys, command, fmt):
+    argv, header = SMALL_ARGV[command]
+    args = build_parser().parse_args(argv + ["--format", fmt])
+    assert isinstance(args.func(args), cli.Output)
+    assert capsys.readouterr().out == ""  # only main prints
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    if fmt == "csv" and header is None:
+        assert code == 2 and out == ""
+    elif fmt == "csv":
+        assert code == 0, err
+        assert next(csv.reader(io.StringIO(out))) == header
+    else:
+        assert code == 0, err
+        assert out.strip()
+        if fmt == "json":
+            json.loads(out)
 
 
 def test_only_invariant_errors_exit_1(capsys, monkeypatch):

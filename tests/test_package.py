@@ -1,0 +1,39 @@
+"""The package surface: what `seqlab` exports, and where its modules import."""
+
+import ast
+import os
+import types
+
+import seqlab
+
+SRC = os.path.dirname(seqlab.__file__)
+
+
+def test_all_is_unique_and_resolves():
+    assert len(seqlab.__all__) == len(set(seqlab.__all__))
+    for name in seqlab.__all__:
+        assert hasattr(seqlab, name), name
+
+
+def test_all_equals_the_public_names_bound():
+    bound = {
+        name for name, value in vars(seqlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(seqlab.__all__) == bound
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [
+                    "%s:%d" % (fname, node.lineno) for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from seqlab.rational import (
     divisors,
     factorize,
     format_rational,
+    iroot,
     is_perfect_square,
     is_rational_square,
     parse_rational,
@@ -110,3 +112,15 @@ def test_squarefree_decompose_reconstructs(n):
     a, p = squarefree_decompose(n)
     assert a * p * p == n
     assert all(e == 1 for e in factorize(a).values())
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 7, 11, 13])
+def test_iroot_brackets_the_real_root(r):
+    rng = random.Random(r)
+    for n in [0, 1] + [rng.randrange(10 ** rng.randint(1, 200)) for _ in range(300)]:
+        q = iroot(n, r)
+        assert q ** r <= n < (q + 1) ** r, (n, r, q)
+    for _ in range(50):
+        q = rng.randrange(1, 10 ** rng.randint(1, 40))
+        assert iroot(q ** r, r) == q
+        assert iroot(q ** r - 1, r) == q - 1
