@@ -101,6 +101,14 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     return eligible, excluded
 
 
+# Fewer primes than this run serially even with `processes`: on 2 vCPUs a
+# `table3 --full --format json` call took 0.28 s serially against 0.39 s
+# with `--parallel 2` at first:1800, broke even from first:2500 to
+# first:5000, and took 1.57 s against 1.21 s at first:10000 (medians of
+# 7-9 interleaved fresh-interpreter runs).
+POOL_MIN_PRIMES = 2500
+
+
 def divisor_flags(
     elements: Sequence[GroupElement],
     primes: Sequence[int],
@@ -108,11 +116,12 @@ def divisor_flags(
 ) -> List[Tuple[bool, ...]]:
     """Per-prime divisor membership for each element, in window order.
 
-    With `processes` the prime list is chunked across a pool; chunk results
-    are merged in order, so the output is identical to the serial run.
+    With `processes` and at least POOL_MIN_PRIMES primes, the prime list is
+    chunked across a pool; chunk results are merged in order, so the output
+    is identical to the serial run.
     """
     elements = tuple(elements)
-    if not processes or processes <= 1 or len(primes) < 64:
+    if not processes or processes <= 1 or len(primes) < POOL_MIN_PRIMES:
         return divisor_table(elements, primes)
     chunk = max(32, len(primes) // (4 * processes))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]

@@ -2,7 +2,7 @@
 
 For an admissible odd prime p (one dividing neither numerator nor
 denominator of t or of delta = t**2 - 4) the reduced classes with
-nonvanishing determinant form a cyclic group of order
+nonvanishing determinant form a cyclic group G of order
 
     N = p - 1   if delta is a quadratic residue mod p,
         p + 1   otherwise.
@@ -25,7 +25,28 @@ ladder: two modular products per bit and no inverses (Montgomery 1992,
 chains"; Joye and Quisquater 1996, "Efficient computation of full Lucas
 sequences").  Every order comes from one descent over the factors of N, the
 least m | N with V_m(s) = 2; V_q(V_n(s)) = V_qn(s) lets each step go on from
-the last value.  m = ord_p(D) is found once per (t, p).
+the last value.  m = ord_p(D) is found once per (t, p), and N's factors
+come from the window's sieve (primes.sieve_factors).
+
+The index k = N/m of <D> in G is always even, and Euler's criterion on det
+decides membership in the squares G**2.  X -> z maps G onto a cyclic group
+of order N: F_p* when N = p - 1, the norm-1 elements of F_p2* when
+N = p + 1.  So X lies in G**2 iff z is a square there.
+
+  * det D = 1, so D's eigenvalues are l and 1/l, with l in that same group,
+    and z = l**2 is a square.  Hence <D> lies in G**2, of index 2, and k
+    is even.
+  * Split case (N = p - 1): z = mu1**2/det X for an eigenvalue mu1 in
+    F_p, a square iff det X is a residue.
+  * Non-split case (N = p + 1): the eigenvalues are mu1 and mu1**p, so
+    z = mu1**(1 - p) and z**((p + 1)/2) = (mu1**(p + 1))**((1 - p)/2) =
+    det**((1 - p)/2), which is 1 iff det X is a residue.
+
+So the divisor test first rejects every class whose det is 0 or a
+non-residue, with one builtin pow; no divisor is lost, as <D> lies in G**2.
+On rows with k = 2, <D> = G**2 and a residue det settles the test.  Only a
+residue class on a row with k >= 4 runs the ladder V_m(s) = 2, the one
+test path besides Euler's criterion.
 """
 
 from __future__ import annotations
@@ -33,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
@@ -46,7 +67,7 @@ from .transforms import check_parameter
 def in_admissible_set(t: RationalLike, p: int) -> bool:
     """Whether p belongs to the admissible prime set of t."""
     t = _frac(t)
-    return p != 2 and _primes.is_prime(p) and exclusion_modulus(t.numerator, t.denominator) % p != 0
+    return p != 2 and _primes.known_prime(p) and exclusion_modulus(t.numerator, t.denominator) % p != 0
 
 
 def exclusion_modulus(n: int, d: int) -> int:
@@ -75,13 +96,27 @@ class ModpContext:
 # (6 x <= 1 232 rows) and an explore pass (about 8 900 rows) for a re-run.
 @lru_cache(maxsize=1 << 14)
 def _row(num: int, den: int, p: int) -> Tuple[int, int, int]:
-    """(t_p, N, ord_p(D)) for t = num/den in lowest terms, after checking
-    that p is admissible for t."""
-    if p == 2 or exclusion_modulus(num, den) % p == 0 or not _primes.is_prime(p):
+    """(t_p, N - p, k) for t = num/den in lowest terms, after checking that
+    p is admissible for t.  N - p = +-1 and, on almost every row, the index
+    k = N/ord_p(D) are small ints that Python shares, so a cached row owns
+    no int but t_p."""
+    if p == 2 or exclusion_modulus(num, den) % p == 0 or not _primes.known_prime(p):
         raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, Fraction(num, den)))
     t_p = num * pow(den, -1, p) % p
-    n = p - 1 if pow(t_p * t_p - 4, (p - 1) // 2, p) == 1 else p + 1
-    return t_p, n, _order((t_p * t_p - 2) % p, p, n, factorize(n).items())
+    n = p - 1 if _is_residue(t_p * t_p - 4, p) else p + 1
+    return t_p, n - p, n // _order((t_p * t_p - 2) % p, p, n, _factors(n))
+
+
+def _factors(n: int) -> Iterable[Tuple[int, int]]:
+    """The prime powers of a group order n = p +- 1, from the window's sieve
+    when it covers n, else by trial division."""
+    found = _primes.sieve_factors(n)
+    return factorize(n).items() if found is None else found
+
+
+def _is_residue(x: int, p: int) -> bool:
+    """Euler's criterion: whether x is a nonzero square mod the odd prime p."""
+    return pow(x, (p - 1) >> 1, p) == 1
 
 
 def _lucas_v(s: int, p: int, n: int) -> int:
@@ -113,20 +148,16 @@ def _det(t_p: int, p: int, a0: int, a1: int) -> int:
     return (a1 * a1 - t_p * a0 * a1 + a0 * a0) % p
 
 
-def _class_s(t_p: int, p: int, a0: int, a1: int) -> Optional[int]:
-    """s = tr**2/det - 2 mod p for the class (a0, a1), or None when det = 0."""
-    a0, a1 = a0 % p, a1 % p
-    det = _det(t_p, p, a0, a1)
-    if det == 0:
-        return None
+def _class_s(t_p: int, p: int, a0: int, a1: int, det: int) -> int:
+    """s = tr**2/det - 2 mod p for the class (a0, a1) with det != 0."""
     tr = 2 * a1 - t_p * a0
     return (tr * tr * pow(det, -1, p) - 2) % p
 
 
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = check_parameter(_frac(t))
-    t_p, n, m = _row(t.numerator, t.denominator, p)
-    return ModpContext(t=t, p=p, t_p=t_p, group_order=n, companion_order=m)
+    t_p, e, k = _row(t.numerator, t.denominator, p)
+    return ModpContext(t=t, p=p, t_p=t_p, group_order=p + e, companion_order=(p + e) // k)
 
 
 @dataclass(frozen=True)
@@ -154,7 +185,8 @@ def modp_reduce(x: GroupElement, p: int) -> ModpElement:
 def ord_p(x: ModpElement) -> int:
     ctx = x.ctx
     n = ctx.group_order
-    return _order(_class_s(ctx.t_p, ctx.p, x.a0, x.a1), ctx.p, n, factorize(n).items())
+    s = _class_s(ctx.t_p, ctx.p, x.a0, x.a1, _det(ctx.t_p, ctx.p, x.a0, x.a1))
+    return _order(s, ctx.p, n, _factors(n))
 
 
 def ord_companion(t: RationalLike, p: int) -> int:
@@ -170,20 +202,25 @@ def xi(t: RationalLike, p: int) -> int:
     D**-1 class).
     """
     ctx = modp_context(t, p)
-    return _order(ctx.t_p, p, ctx.group_order, factorize(ctx.group_order).items())
+    return _order(ctx.t_p, p, ctx.group_order, _factors(ctx.group_order))
 
 
-def _power_is_scalar(t_p: int, p: int, m: int, a0: int, a1: int) -> bool:
-    """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar."""
-    s = _class_s(t_p, p, a0, a1)
-    return s is not None and _lucas_v(s, p, m) == 2
+def _divides(t_p: int, e: int, k: int, p: int, a0: int, a1: int) -> bool:
+    """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar
+    for m = ord_p(D), on the row (t_p, N - p, k): Euler's criterion on det,
+    then the ladder only when the index k is 4 or more."""
+    det = _det(t_p, p, a0, a1)
+    if not _is_residue(det, p):
+        return False
+    return k == 2 or _lucas_v(_class_s(t_p, p, a0, a1, det), p, (p + e) // k) == 2
 
 
 def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """is_divisor(x, p) for each element x, one row per prime p.
 
-    Each row looks up (t_p, N, m) once per distinct t; each element then
-    costs one ladder.
+    Each row looks up (t_p, N - p, k) once per distinct t; each element then
+    costs one builtin pow, and a ladder only when det is a residue and the
+    index k is 4 or more.
     """
     params: Dict[Fraction, int] = {}
     columns = []
@@ -195,9 +232,7 @@ def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> Li
     table = []
     for p in primes:
         rows = [_row(num, den, p) for num, den in keys]
-        table.append(tuple([
-            _power_is_scalar(rows[i][0], p, rows[i][2], a0, a1) for i, a0, a1 in columns
-        ]))
+        table.append(tuple([_divides(*rows[i], p, a0, a1) for i, a0, a1 in columns]))
     return table
 
 
@@ -232,4 +267,4 @@ def qr_filter(x: GroupElement, p: int) -> bool:
     if not x.ctx.is_one_param:
         raise ExcludedPrimeError("QR filter takes one-parameter classes")
     ctx = modp_context(x.ctx.T, p)
-    return pow(_det(ctx.t_p, p, x.a0, x.a1), (p - 1) // 2, p) == 1
+    return _is_residue(_det(ctx.t_p, p, x.a0, x.a1), p)

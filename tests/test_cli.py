@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import seqlab
-from seqlab import cli
+from seqlab import cli, lab
 from seqlab.cli import build_parser, main
 from seqlab.errors import InvariantError
 from seqlab.lab import CSV_HEADER, PrimeWindow
@@ -150,6 +151,33 @@ def test_table3_full_window_silent(capsys):
     assert err == ""
     rows = list(csv.reader(io.StringIO(out)))
     assert float(rows[1][4]) == pytest.approx(0.356187, abs=1e-6)
+
+
+# sha256 of `table3 --window W --full --format json`, recorded from the
+# ladder-only divisor kernel: every faster path must print the same bytes
+TABLE3_JSON_SHA256 = {
+    "first:1200": "dc6885b800942806ff974027080c8d1d1b2dbfc3729bbe28b96d20db8ccceadd",
+    "below:3000": "9f966bf32ed21f8cd2fe9ca0bc08a2f7fda225cae4b669dfdabff75447671276",
+}
+
+
+@pytest.mark.parametrize("window", sorted(TABLE3_JSON_SHA256))
+def test_table3_json_output_hash(capsys, window):
+    code, out, _ = run(capsys, "table3", "--window", window, "--full", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE3_JSON_SHA256[window]
+
+
+def test_parallel_below_the_pool_threshold_starts_no_pool(capsys, monkeypatch):
+    argv = ("table3", "--window", "first:1200", "--full", "--format", "json")
+    serial = run(capsys, *argv)
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(lab, "Pool", no_pool)
+    assert 1200 < lab.POOL_MIN_PRIMES
+    assert run(capsys, *argv, "--parallel", "2") == serial
 
 
 def test_independence_json(capsys):

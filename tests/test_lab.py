@@ -85,7 +85,8 @@ def test_parallel_flags_match_serial():
     t = F(3)
     ctx = ParamPair.one_param(t)
     xs = [GroupElement.from_pair(ctx, 1, 4), GroupElement.from_pair(ctx, 2, 3)]
-    eligible, _ = window_split(t, PrimeWindow("first", 200))
+    eligible, _ = window_split(t, PrimeWindow("first", 2600))
+    assert len(eligible) >= lab.POOL_MIN_PRIMES  # so the pool runs
     assert divisor_flags(xs, eligible, processes=2) == divisor_flags(xs, eligible)
 
 

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from seqlab import modp
+from seqlab import lab, modp, primes as primes_module
 from seqlab.errors import ExcludedPrimeError, SingularElementError
 from seqlab.ring import ParamPair
 from seqlab.transforms import classify_cyclotomic
 from seqlab.group import GroupElement, class_c, class_v, class_w, companion_class
-from seqlab.lab import divisor_flags
+from seqlab.lab import PrimeWindow, cubic_partition, divisor_flags, gamma, partition_six
 from seqlab.modp import (
     divisor_table,
     in_admissible_set,
@@ -404,12 +404,15 @@ def test_kernel_rejects_excluded_primes():
         divisor_table([GroupElement.from_pair(ParamPair(5, 3), 1, 4)], [7])
 
 
-def test_divisor_flags_parallel_equals_serial():
+def test_divisor_flags_parallel_equals_serial(monkeypatch):
     t = F(19, 3)
     elements = random_classes(random.Random(7), t, 3)
-    primes = [p for p in odd_primes_below(1500) if in_admissible_set(t, p)]
-    assert len(primes) >= 64  # below that the serial path runs
+    primes = [p for p in odd_primes_below(25_000) if in_admissible_set(t, p)]
+    assert len(primes) >= lab.POOL_MIN_PRIMES  # below that the serial path runs
+    started = []
+    monkeypatch.setattr(lab, "Pool", lambda n, real=lab.Pool: started.append(n) or real(n))
     assert divisor_flags(elements, primes, processes=2) == divisor_flags(elements, primes)
+    assert started == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +493,94 @@ def test_ladder_test_special_classes():
     assert parities == {0, 1}
 
 
+# ---------------------------------------------------------------------------
+# the Euler gate: the index of <D> and the ladder-only reference
+# ---------------------------------------------------------------------------
+
+
+def ladder_only_flag(t_p, p, m, a0, a1):
+    """The divisor test with no gate: det != 0 and V_m(tr**2/det - 2) = 2
+    on the Lucas ladder, for every class on every row."""
+    det = (a1 * a1 - t_p * a0 * a1 + a0 * a0) % p
+    if det == 0:
+        return False
+    tr = 2 * a1 - t_p * a0
+    return modp._lucas_v((tr * tr * pow(det, -1, p) - 2) % p, p, m) == 2
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "circular", "cubic"])
+def test_index_of_companion_subgroup_is_even(kind):
+    """k = N/ord_p(D) is even on 400 seeded rows per kind, p < 5000: <D>
+    lies in the squares, as det D = 1.  Both k = 2 and k >= 4 occur."""
+    rng = random.Random(0x1DE + len(kind))
+    primes = odd_primes_below(5000)
+    seen = set()
+    for _ in range(400):
+        while True:
+            t, p = random_parameter(rng, kind), rng.choice(primes)
+            if t not in (0, 1, -1, 2, -2) and in_admissible_set(t, p):
+                break
+        ctx = modp_context(t, p)
+        k, rest = divmod(ctx.group_order, ctx.companion_order)
+        assert rest == 0 and k % 2 == 0, (t, p, k)
+        seen.add(min(k, 4))
+    assert seen == {2, 4}
+
+
+@pytest.mark.parametrize("t", [F(3), F(19, 3), F(-6, 5), F(11, 7)])
+def test_gate_matches_ladder_reference_on_every_class(t):
+    """Every class (a0, a1) mod p for every admissible p < 60: the kernel
+    (Euler's criterion, then the ladder when k >= 4) equals the ladder-only
+    test; a sample of them equals a literal term scan."""
+    ctx = ParamPair.one_param(t)
+    kinds, indices = set(), set()
+    sample = random.Random(60)
+    for p in odd_primes_below(60):
+        if not in_admissible_set(t, p):
+            continue
+        row = modp_context(t, p)
+        t_p, m = row.t_p, row.companion_order
+        indices.add(min(row.group_order // m, 4))
+        classes = [(a0, a1) for a0 in range(p) for a1 in range(p) if (a0, a1) != (0, 0)]
+        elements = [GroupElement.from_pair(ctx, a0, a1) for a0, a1 in classes]
+        (flags,) = divisor_table(elements, [p])
+        for (a0, a1), x, flag in zip(classes, elements, flags):
+            assert flag == ladder_only_flag(t_p, p, m, x.a0, x.a1), (t, p, a0, a1)
+            if (a1 * a1 - t_p * a0 * a1 + a0 * a0) % p == 0:
+                kinds.add("singular")
+            elif a0 == 0:
+                kinds.add("scalar")
+            elif (2 * a1 - t_p * a0) % p == 0:
+                kinds.add("traceless")
+            if sample.random() < 0.05:
+                assert flag == period_scan_divides(t, a0, a1, p), (t, p, a0, a1)
+    assert kinds == {"singular", "scalar", "traceless"} and indices == {2, 4}
+
+
+def test_window_sweeps_neither_test_primality_nor_factor(monkeypatch):
+    """Rows built by a sweep read p's primality and the factors of p +- 1
+    off the window's sieve."""
+    counts = {"is_prime": 0, "factorize": 0}
+
+    def counted(name, real):
+        def call(n):
+            counts[name] += 1
+            return real(n)
+        return call
+
+    monkeypatch.setattr(primes_module, "is_prime", counted("is_prime", primes_module.is_prime))
+    monkeypatch.setattr(modp, "factorize", counted("factorize", modp.factorize))
+    modp._row.cache_clear()
+    t = F(19, 3)
+    x = GroupElement.from_pair(ParamPair.one_param(t), 1, 4)
+    window = PrimeWindow("first", 700)
+    assert len(gamma(x, window)) > 100
+    partition_six(x, window)
+    cubic_partition(F(11, 7), PrimeWindow("below", 5000))
+    assert modp._row.cache_info().misses > 1300
+    assert counts == {"is_prime": 0, "factorize": 0}
+
+
 def test_row_cache_is_bounded():
     caches = [f for f in vars(modp).values() if hasattr(f, "cache_info")]
     assert caches == [modp._row]
@@ -507,7 +598,8 @@ def test_excluded_prime_messages():
 
 def test_warm_rows_need_no_factoring(monkeypatch):
     """Once the rows are cached, modp_reduce, qr_filter and ord_companion
-    factor nothing; ord_p and xi factor the group order themselves."""
+    factor nothing; ord_p and xi read the group order's factors off the
+    window's sieve, as the rows do, and trial-divide only outside it."""
     t = F(19, 3)
     primes = [p for p in odd_primes_below(800) if in_admissible_set(t, p)]
     for p in primes:
@@ -528,4 +620,11 @@ def test_warm_rows_need_no_factoring(monkeypatch):
     for el in reduced:
         assert ord_p(el) == pair_order(t, el.ctx.p, (el.a0, el.a1))
         assert xi(t, el.ctx.p) == pair_order(t, el.ctx.p, (-1, 1))
-    assert len(calls) == 2 * len(reduced)
+    assert calls == []
+    odd_primes_below(100)  # a smaller sieve: group orders past it are trial-divided
+    for el in reduced:
+        ord_p(el)
+        xi(t, el.ctx.p)
+    n = [el.ctx.group_order for el in reduced]
+    outside = [k for k in n if k >> ((k & -k).bit_length() - 1) >= 100]
+    assert len(outside) > 50 and calls == [k for k in outside for _ in (0, 1)]

@@ -1,6 +1,8 @@
 """Prime enumeration and primality against each other and known hard cases."""
 
-from seqlab.primes import first_odd_primes, is_prime, primes_below
+from seqlab import modp, primes
+from seqlab.primes import first_odd_primes, is_prime, known_prime, primes_below, sieve_factors
+from seqlab.rational import factorize
 
 
 def test_is_prime_agrees_with_sieve():
@@ -23,9 +25,33 @@ def test_is_prime_large_cases():
         assert not is_prime(n), n
 
 
-
 def test_first_odd_primes_is_a_prefix_of_one_sieve():
     odd = primes_below(30_000)[1:]
     assert len(odd) > 3_000
     for k in range(-1, 3_001):
         assert first_odd_primes(k) == odd[: max(k, 0)], k
+
+
+def test_sieve_table_matches_is_prime_and_factorize():
+    """Every n < 20 000 from the table of one sieve; at its edge (bound - 1,
+    bound, bound + 1) the table or the fallback gives the same answers."""
+    for bound in (20_000, 20_012):  # 20 011 is prime
+        primes_below(bound)
+        for n in list(range(-3, 20_000)) + [bound - 1, bound, bound + 1]:
+            assert known_prime(n) == is_prime(n), n
+            if n < 1:
+                continue
+            odd_part = n >> ((n & -n).bit_length() - 1)
+            got = sieve_factors(n)
+            assert got == (None if odd_part >= bound else list(factorize(n).items())), n
+            assert list(modp._factors(n)) == list(factorize(n).items()), n
+    assert sieve_factors(20_013) is None and sieve_factors(2 * 20_011) == [(2, 1), (20_011, 1)]
+
+
+def test_sieve_keeps_one_bounded_table():
+    primes_below(5_000)
+    assert primes._table[0] == 5_000 and len(primes._table[1]) == 2_500
+    primes_below(300)  # the latest sieve replaces the table
+    assert primes._table[0] == 300 and len(primes._table[1]) == 150
+    assert sieve_factors(301) is None
+    assert primes.TABLE_BELOW >= 16_441_814  # what first:1000000 sieves to
