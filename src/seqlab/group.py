@@ -24,22 +24,18 @@ from typing import List, Optional, Tuple
 from . import primes as _primes
 from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
 from .rational import divisors, iroot, is_rational_square, rational_sqrt
-from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, chebyshev_u, _frac
+from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, _frac
 from .transforms import check_parameter, classify_cyclotomic
 
 
-def group_parameter(ctx: ParamPair) -> Fraction:
-    """The parameter whose exclusion set gates the group layer.
-
-    For a one-parameter context that is t itself; in general it is the split
-    parameter T**2/Q - 2 (for Q = 1 the two conditions agree: t**2 - 2 hits
-    {0, +-1, +-2} exactly when t does).
-    """
-    return ctx.T if ctx.is_one_param else ctx.t
-
-
 def check_group_context(ctx: ParamPair) -> ParamPair:
-    check_parameter(group_parameter(ctx))
+    """ctx, once its parameter is outside the exclusion set of the group layer.
+
+    For a one-parameter context that parameter is t itself; in general it is
+    the split parameter T**2/Q - 2 (for Q = 1 the two conditions agree:
+    t**2 - 2 hits {0, +-1, +-2} exactly when t does).
+    """
+    check_parameter(ctx.T if ctx.is_one_param else ctx.t)
     return ctx
 
 
@@ -219,7 +215,8 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
     """
     n, d = t.numerator, t.denominator
     out: List[ChebyshevWitness] = []
-    for r in _primes.primes_below(_witness_prime_bound(t) + 1):
+    # is_prime, not a sieve: a sieve here would replace the window's table
+    for r in filter(_primes.is_prime, range(2, _witness_prime_bound(t) + 1)):
         q = iroot(d, r)
         if q ** r != d:
             continue

@@ -15,7 +15,7 @@ can count the window primes outside the admissible set in the denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from multiprocessing import Pool
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
 from .ring import ParamPair, RationalLike, make_element, _frac
-from .transforms import classify_cyclotomic, is_simple, phi
+from .transforms import cubic_class, is_simple, phi
 from .group import GroupElement, class_c, class_w, class_v, reduce_element
 from .modp import divisor_table, exclusion_modulus
 from .primes import first_odd_primes, odd_primes_below
@@ -149,11 +149,11 @@ def gamma(x: GroupElement, window: PrimeWindow, processes: Optional[int] = None)
 
 
 @dataclass(frozen=True)
-class SixPartition:
-    """The six pairwise intersections partitioning Gamma(X**2).
+class _Partition:
+    """A divisor set over a window, split into named cells.
 
-    Keys pair up the four translates X, CX, WX, VX; each admissible window
-    prime dividing X**2 lands in exactly one cell.
+    A subclass adds one last field, the covered set the cells partition;
+    the document lists it between the cells and their counts.
     """
 
     t: Fraction
@@ -161,18 +161,29 @@ class SixPartition:
     eligible_count: int
     excluded: Tuple[int, ...]
     cells: Dict[str, Tuple[int, ...]]
-    gamma_square: Tuple[int, ...]
 
     def to_dict(self) -> dict:
+        covered = fields(self)[-1].name
         return {
             "t": format_rational(self.t),
             "window": self.window.to_dict(),
             "eligible": self.eligible_count,
             "excluded": list(self.excluded),
             "cells": {k: list(v) for k, v in self.cells.items()},
-            "gamma_square": list(self.gamma_square),
+            covered: list(getattr(self, covered)),
             "cell_counts": {k: len(v) for k, v in self.cells.items()},
         }
+
+
+@dataclass(frozen=True)
+class SixPartition(_Partition):
+    """The six pairwise intersections partitioning Gamma(X**2).
+
+    Keys pair up the four translates X, CX, WX, VX; each admissible window
+    prime dividing X**2 lands in exactly one cell.
+    """
+
+    gamma_square: Tuple[int, ...]
 
 
 _SIX_CELLS = (
@@ -220,26 +231,10 @@ def partition_six(x: GroupElement, window: PrimeWindow, processes: Optional[int]
 
 
 @dataclass(frozen=True)
-class CubicPartition:
+class CubicPartition(_Partition):
     """Gamma(S) split into Gamma(WS), Gamma(Y) and Gamma(WY) for cubic t."""
 
-    t: Fraction
-    window: PrimeWindow
-    eligible_count: int
-    excluded: Tuple[int, ...]
-    cells: Dict[str, Tuple[int, ...]]
     gamma_s: Tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "t": format_rational(self.t),
-            "window": self.window.to_dict(),
-            "eligible": self.eligible_count,
-            "excluded": list(self.excluded),
-            "cells": {k: list(v) for k, v in self.cells.items()},
-            "gamma_s": list(self.gamma_s),
-            "cell_counts": {k: len(v) for k, v in self.cells.items()},
-        }
 
 
 def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[int] = None) -> CubicPartition:
@@ -251,11 +246,8 @@ def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[in
     from Y directly and cross-checked against C*S prime by prime.
     """
     t = _frac(t)
-    cls = classify_cyclotomic(t)
-    if cls.kind != "cubic":
-        raise DegenerateParameterError("t = %s is not cubic" % t)
+    f = cubic_class(t).f
     ctx = ParamPair.one_param(t)
-    f = cls.f
     s = GroupElement.from_pair(ctx, 2, t + f)
     y = GroupElement.from_pair(ctx, 2, t + 3 * f)
     w = class_w(t)

@@ -54,13 +54,6 @@ def format_rational(x: Fraction) -> str:
         raise SeqLabError("value has too many digits to print") from None
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def iroot(n: int, r: int) -> int:
     """The integer r-th root floor(n**(1/r)) of n >= 0, by Newton's method.
 

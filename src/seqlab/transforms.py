@@ -141,6 +141,15 @@ def classify_cyclotomic(t: RationalLike) -> CyclotomicClass:
     return CyclotomicClass(kind="generic")
 
 
+def cubic_class(t: RationalLike) -> CyclotomicClass:
+    """classify_cyclotomic(t) for cubic t; any other t is degenerate here."""
+    t = _frac(t)
+    cls = classify_cyclotomic(t)
+    if cls.kind != "cubic":
+        raise DegenerateParameterError("t = %s is not cubic" % t)
+    return cls
+
+
 def element_with_trace(t: RationalLike, a: RationalLike) -> Optional[RingElement]:
     """The det-1 element of R(t) with trace a, if one exists.
 
@@ -248,9 +257,7 @@ def _cubic_associate(t: RationalLike, a: Optional[RationalLike]) -> Fraction:
     """a itself, or the canonical associate (-t + 3f)/2, once t is cubic and
     a is one of its two C_3-associates."""
     t = _frac(t)
-    cls = classify_cyclotomic(t)
-    if cls.kind != "cubic":
-        raise DegenerateParameterError("t = %s is not cubic" % t)
+    cls = cubic_class(t)
     a = cls.associates[0] if a is None else _frac(a)
     if a not in cls.associates:
         raise DegenerateParameterError("a = %s is not an associate of t = %s" % (a, t))
@@ -289,10 +296,7 @@ def cubic_roots_of_unity(t: RationalLike) -> Tuple[RingElement, RingElement]:
     with det S = det R = 1, trace -1, S*R = 1 and S**3 = R**3 = 1.
     """
     t = _frac(t)
-    cls = classify_cyclotomic(t)
-    if cls.kind != "cubic":
-        raise DegenerateParameterError("t = %s is not cubic" % t)
-    f = cls.f
+    f = cubic_class(t).f
     ctx = ParamPair.one_param(t)
     s = RingElement(ctx, Fraction(2), t + f) * (Fraction(-1, 2) / f)
     r = RingElement(ctx, Fraction(2), t - f) * (Fraction(1, 2) / f)

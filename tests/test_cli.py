@@ -129,6 +129,60 @@ def test_partition_cubic(capsys):
     assert doc["cell_counts"] == {"ws": 8, "y": 10, "wy": 11}
 
 
+# The two partition documents, key order included: both records render
+# through one to_dict, each adding its covered set before the counts.
+PARTITION_DOCUMENTS = [
+    (
+        ["partition", "--t", "19/3", "--x", "1,4", "--window", "first:40"],
+        {
+            "t": "19/3",
+            "window": {"mode": "first", "size": 40},
+            "eligible": 36,
+            "excluded": [3, 5, 13, 19],
+            "cells": {
+                "x_cx": [7, 31, 67, 151, 163],
+                "x_wx": [37, 73, 97, 109, 157],
+                "x_vx": [79, 103, 139],
+                "wx_vx": [17, 29, 53, 101, 113, 173],
+                "cx_wx": [41, 137, 149],
+                "cx_vx": [23, 61, 107, 131, 179],
+            },
+            "gamma_square": [
+                7, 17, 23, 29, 31, 37, 41, 53, 61, 67, 73, 79, 97, 101,
+                103, 107, 109, 113, 131, 137, 139, 149, 151, 157, 163, 173, 179,
+            ],
+            "cell_counts": {"x_cx": 5, "x_wx": 5, "x_vx": 3, "wx_vx": 6, "cx_wx": 3, "cx_vx": 5},
+        },
+    ),
+    (
+        ["partition", "--t", "11/7", "--cubic", "--window", "first:40"],
+        {
+            "t": "11/7",
+            "window": {"mode": "first", "size": 40},
+            "eligible": 36,
+            "excluded": [3, 5, 7, 11],
+            "cells": {
+                "ws": [19, 29, 31, 53, 83, 109, 113, 139],
+                "y": [13, 47, 61, 71, 73, 97, 107, 157, 167, 179],
+                "wy": [17, 37, 41, 43, 59, 67, 79, 89, 127, 163, 173],
+            },
+            "gamma_s": [
+                13, 17, 19, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+                79, 83, 89, 97, 107, 109, 113, 127, 139, 157, 163, 167, 173, 179,
+            ],
+            "cell_counts": {"ws": 8, "y": 10, "wy": 11},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, document", PARTITION_DOCUMENTS, ids=["six", "cubic"])
+def test_partition_json_document(capsys, argv, document):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(document, indent=2) + "\n"
+
+
 def test_table3_default_csv(capsys):
     code, out, err = run(capsys, "table3", "--primes", "200")
     assert code == 0

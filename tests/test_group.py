@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqlab import primes
 from seqlab.errors import ContextMismatchError, DegenerateParameterError, SingularElementError
 from seqlab.primes import primes_below
 from seqlab.rational import divisors
 from seqlab.ring import ParamPair, chebyshev_c, make_element
+from seqlab.lab import PrimeWindow, gamma
 from seqlab.group import (
     GroupElement,
     class_c,
@@ -334,3 +336,16 @@ def test_witness_search_matches_exhaustive_reference():
         assert rep.decomposition == maximal_decomposition(t)
         found += bool(got)
     assert found > 100
+
+
+def test_witness_search_keeps_the_windows_sieve_table():
+    """The divisor rows of a sweep read p's primality and the factors of
+    p +- 1 off the last sieve's table, so a primitivity call between two
+    sweeps of one window must not replace it."""
+    window = PrimeWindow("first", 500)
+    gamma(class_v(F(19, 3)), window)
+    table = primes._table
+    assert table[0] > 3000
+    primitivity(3)
+    primitivity(F(1000001, 9))
+    assert primes._table is table

@@ -37,3 +37,19 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_no_unused_import():
+    """Every name a module imports is used in it; only __init__ re-exports."""
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found += ["%s:%s" % (fname, name) for name in names if name not in used]
+    assert found == []

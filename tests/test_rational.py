@@ -11,7 +11,6 @@ from seqlab.rational import (
     factorize,
     format_rational,
     iroot,
-    is_perfect_square,
     is_rational_square,
     parse_rational,
     rational_sqrt,
@@ -46,13 +45,6 @@ def test_format_rational():
 @given(st.fractions(max_denominator=40))
 def test_parse_format_roundtrip(x):
     assert parse_rational(format_rational(x)) == x
-
-
-def test_is_perfect_square():
-    squares = {n * n for n in range(50)}
-    for n in range(2500):
-        assert is_perfect_square(n) == (n in squares)
-    assert not is_perfect_square(-4)
 
 
 def test_rational_sqrt_exact():

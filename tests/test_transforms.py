@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqlab.errors import ContextMismatchError, DegenerateParameterError
+from seqlab.lab import PrimeWindow, cubic_partition
 from seqlab.ring import ParamPair, chebyshev_c, chebyshev_u, companion, elem_c, identity, make_element
 from seqlab.transforms import (
     EXCLUDED_PARAMS,
@@ -351,6 +352,21 @@ def test_recombine_cubic_satisfies_recursion(data):
     for a in classify_cyclotomic(t).associates:
         xh = recombine_cubic(x.term, t, a)
         assert satisfies(xh, a, 1)
+
+
+CUBIC_ONLY = {
+    "cubic_partition": lambda t: cubic_partition(t, PrimeWindow("first", 20)),
+    "theta_cubic": lambda t: theta_cubic(make_element(ParamPair.one_param(t), 1, 2)),
+    "recombine_cubic": lambda t: recombine_cubic(lambda n: F(0), t),
+    "cubic_roots_of_unity": cubic_roots_of_unity,
+}
+
+
+@pytest.mark.parametrize("t, text", [(F(6, 5), "6/5"), (F(3), "3")], ids=["circular", "generic"])
+@pytest.mark.parametrize("name", sorted(CUBIC_ONLY))
+def test_one_cubic_rule(name, t, text):
+    with pytest.raises(DegenerateParameterError, match=r"^t = %s is not cubic$" % text):
+        CUBIC_ONLY[name](t)
 
 
 def test_recombine_kind_guards():
