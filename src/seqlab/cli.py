@@ -5,12 +5,17 @@ where tabular output makes sense).  A subcommand returns an `Output` and
 `main` alone prints it, once the command has finished.  Exit codes: 0 on
 success, 2 for invalid or excluded input, 1 for a violated arithmetic
 invariant (InvariantError).
+
+One parser per process, dispatch by name: `main` builds the parser on its
+first call and keeps it, and runs the module's `cmd_<command>` as it stands
+when the call is made.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -324,55 +329,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         # let values like "-3..8", "-1,1" or "-7/2" follow a flag unquoted
         p._negative_number_matcher = re.compile(r"^-\d")
-        p.set_defaults(func=func)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         return p
 
-    p = add("seq", cmd_seq, "print a stretch of the sequence carried by an element")
+    p = add("seq", "print a stretch of the sequence carried by an element")
     _add_context_args(p)
     p.add_argument("--x", type=_pair, required=True, metavar="A,B",
                    help="initial terms x_0, x_1")
     p.add_argument("--range", type=_index_range, default=(0, 10), metavar="A..B",
                    help="inclusive index range (default 0..10)")
 
-    p = add("classify", cmd_classify, "cyclotomic class and primitivity of t")
+    p = add("classify", "cyclotomic class and primitivity of t")
     _add_context_args(p, t_only=True)
 
-    p = add("torsion", cmd_torsion, "torsion subgroup of the class group at t")
+    p = add("torsion", "torsion subgroup of the class group at t")
     _add_context_args(p, t_only=True)
 
-    p = add("sqrt", cmd_sqrt, "square roots of a class in the sequence group")
+    p = add("sqrt", "square roots of a class in the sequence group")
     _add_context_args(p)
     p.add_argument("--x", type=_pair, required=True, metavar="A,B")
 
-    p = add("laxton-eq", cmd_laxton_eq, "decide equivalence of two classes")
+    p = add("laxton-eq", "decide equivalence of two classes")
     _add_context_args(p)
     p.add_argument("--x", type=_pair, required=True, metavar="A,B")
     p.add_argument("--y", type=_pair, required=True, metavar="A,B")
 
-    p = add("divisors", cmd_divisors, "prime divisor set of a class over a window")
+    p = add("divisors", "prime divisor set of a class over a window")
     _add_context_args(p, t_only=True)
     p.add_argument("--x", type=_pair, required=True, metavar="A,B")
     _add_window_args(p, "first:300")
 
-    p = add("partition", cmd_partition, "partition of Gamma(X^2) (or Gamma(S) with --cubic)")
+    p = add("partition", "partition of Gamma(X^2) (or Gamma(S) with --cubic)")
     _add_context_args(p, t_only=True)
     p.add_argument("--x", type=_pair, default=None, metavar="A,B")
     p.add_argument("--cubic", action="store_true",
                    help="three-way partition of Gamma(S) for cubic t")
     _add_window_args(p, "first:300")
 
-    p = add("table3", cmd_table3, "rerun the published independence table")
+    p = add("table3", "rerun the published independence table")
     p.set_defaults(format="csv")
     _add_window_args(p, "first:1200")
     p.add_argument("--convention", choices=lab.CONVENTIONS, default="pi_t")
     p.add_argument("--full", action="store_true", help="include divisor-set members (json)")
 
-    p = add("independence", cmd_independence, "independence report for one (T, Q, x0, x1)")
+    p = add("independence", "independence report for one (T, Q, x0, x1)")
     p.add_argument("--T", dest="big_t", type=_rational, required=True, metavar="T")
     p.add_argument("--Q", dest="big_q", type=_rational, required=True, metavar="Q")
     p.add_argument("--x", type=_pair, required=True, metavar="A,B")
@@ -383,10 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call of `main`."""
+    return build_parser()
+
+
+def subcommand(name: str):
+    """The subcommand function for a parsed command name, looked up at call time."""
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        out = args.func(args)
+        out = subcommand(args.command)(args)
         if args.format == "json":
             text = json.dumps(out.payload, indent=2) + "\n"
         elif args.format == "text":

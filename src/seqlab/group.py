@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from . import primes as _primes
 from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
 from .rational import divisors, iroot, is_rational_square, rational_sqrt
-from .ring import ParamPair, RationalLike, RingElement, binpow, chebyshev_c, _frac
+from .ring import ParamPair, RationalLike, RingElement, binpow, _frac
 from .transforms import check_parameter, classify_cyclotomic
 
 
@@ -210,8 +210,13 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
     den(C_r(p/q)) = q**r: den(t) must be an exact r-th power, and its integer
     r-th root q is the only denominator to try (no factoring of den(t)).
     Clearing it, d*C_r(u) -+ n = 0 has constant term d*C_r(0) -+ n, so
-    p | |constant|.  (The constant is nonzero whenever t is outside the
-    excluded set, since C_r(0) is 0 or +-2.)
+    p | |constant|.  (C_r(0) is -2 for r = 2 and 0 for odd r, so the
+    constant is nonzero whenever t is outside the excluded set.)
+
+    Each candidate is tested in integers: q**r * C_r(p/q) = V_r(p, q**2), the
+    Lucas sequence V_0 = 2, V_1 = p, V_k+1 = p*V_k - q**2*V_k-1, so with
+    q**r = d the test C_r(p/q) = sign*n/d is V_r(p, q**2) = sign*n.  As
+    V_r(-p, Q) = (-1)**r * V_r(p, Q), one ladder tests both p/q and -p/q.
     """
     n, d = t.numerator, t.denominator
     out: List[ChebyshevWitness] = []
@@ -220,7 +225,7 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
         q = iroot(d, r)
         if q ** r != d:
             continue
-        c0 = int(chebyshev_c(0, r))
+        c0 = -2 if r == 2 else 0
         for sign in (1, -1):
             const = d * c0 - sign * n
             if const == 0:
@@ -228,10 +233,24 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
             for p in divisors(const):
                 if gcd(p, q) != 1:
                     continue
-                for u in (Fraction(p, q), Fraction(-p, q)):
-                    if chebyshev_c(u, r) == sign * t:
-                        out.append(ChebyshevWitness(r, u, sign))
+                v = _lucas_v(p, q * q, r)
+                if v == sign * n:
+                    out.append(ChebyshevWitness(r, Fraction(p, q), sign))
+                if (v if r == 2 else -v) == sign * n:
+                    out.append(ChebyshevWitness(r, Fraction(-p, q), sign))
     return out
+
+
+def _lucas_v(P: int, Q: int, n: int) -> int:
+    """V_n(P, Q) for n >= 0, by the ladder (V_k, V_k+1, Q**k) -> k = 2k or 2k + 1:
+    V_2k = V_k**2 - 2*Q**k and V_2k+1 = V_k*V_k+1 - P*Q**k."""
+    v, w, qk = 2, P, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w, qk = v * w - P * qk, w * w - 2 * qk * Q, qk * qk * Q
+        else:
+            v, w, qk = v * v - 2 * qk, v * w - P * qk, qk * qk
+    return v
 
 
 def _witness_prime_bound(t: Fraction) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
@@ -101,33 +101,69 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     return eligible, excluded
 
 
-# Fewer primes than this run serially even with `processes`: on 2 vCPUs a
-# `table3 --full --format json` call took 0.28 s serially against 0.39 s
-# with `--parallel 2` at first:1800, broke even from first:2500 to
-# first:5000, and took 1.57 s against 1.21 s at first:10000 (medians of
-# 7-9 interleaved fresh-interpreter runs).
+# Fewer primes than this run serially even with `processes`.  On 2 vCPUs,
+# with one pool per `table3` call, a `table3 --full --format json` call (a
+# fresh interpreter, medians of 7 interleaved runs, the pool forced on at
+# every size) took 0.40 s serially against 0.48 s with `--parallel 2` at
+# first:1800, 0.41 s against 0.43 s at first:2500, 0.62 s against 0.65 s at
+# first:5000 (both within the spread), and 1.32 s against 0.85 s at
+# first:10000.
 POOL_MIN_PRIMES = 2500
+
+
+class Workers:
+    """A worker pool of `processes` workers, started by the first sweep that
+    needs one and shared by every sweep until the block ends.
+
+        with Workers(2) as workers:
+            flags = divisor_flags(elements, primes, workers)
+    """
+
+    def __init__(self, processes: Optional[int]) -> None:
+        self.processes = processes
+        self._pool = None
+
+    def starmap(self, func, jobs):
+        if self._pool is None:
+            self._pool = Pool(self.processes)
+        return self._pool.starmap(func, jobs)
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool = None
 
 
 def divisor_flags(
     elements: Sequence[GroupElement],
     primes: Sequence[int],
-    processes: Optional[int] = None,
+    processes: Union[int, Workers, None] = None,
 ) -> List[Tuple[bool, ...]]:
     """Per-prime divisor membership for each element, in window order.
 
-    With `processes` and at least POOL_MIN_PRIMES primes, the prime list is
-    chunked across a pool; chunk results are merged in order, so the output
-    is identical to the serial run.
+    With `processes` (a worker count, or `Workers` shared by several sweeps)
+    and at least POOL_MIN_PRIMES primes, the prime list is chunked across a
+    pool; chunk results are merged in order, so the output is identical to
+    the serial run.
     """
-    elements = tuple(elements)
-    if not processes or processes <= 1 or len(primes) < POOL_MIN_PRIMES:
+    if isinstance(processes, Workers):
+        return _chunked_flags(tuple(elements), primes, processes)
+    with Workers(processes) as workers:
+        return _chunked_flags(tuple(elements), primes, workers)
+
+
+def _chunked_flags(
+    elements: Tuple[GroupElement, ...], primes: Sequence[int], workers: Workers,
+) -> List[Tuple[bool, ...]]:
+    n = workers.processes
+    if not n or n <= 1 or len(primes) < POOL_MIN_PRIMES:
         return divisor_table(elements, primes)
-    chunk = max(32, len(primes) // (4 * processes))
+    chunk = max(32, len(primes) // (4 * n))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
-    with Pool(processes) as pool:
-        parts = pool.starmap(divisor_table, jobs)
-    return [row for part in parts for row in part]
+    return [row for part in workers.starmap(divisor_table, jobs) for row in part]
 
 
 def _one_param_t_of(x: GroupElement) -> Fraction:
@@ -371,7 +407,7 @@ def independence_report(
     x0: int,
     x1: int,
     window: PrimeWindow = PrimeWindow(),
-    processes: Optional[int] = None,
+    processes: Union[int, Workers, None] = None,
     full: bool = False,
     reference: Optional[Tuple[float, float, float, float]] = None,
 ) -> DensityReport:
@@ -422,11 +458,13 @@ def table3(
     processes: Optional[int] = None,
     full: bool = False,
 ) -> List[DensityReport]:
-    """Rerun all published independence rows over the given window."""
-    return [
-        independence_report(T, Q, x0, x1, window, processes, full, reference=ref)
-        for (T, Q, x0, x1, ref) in TABLE3_ROWS
-    ]
+    """Rerun all published independence rows over the given window; the
+    rows share one worker pool, started by the first row that needs it."""
+    with Workers(processes) as workers:
+        return [
+            independence_report(T, Q, x0, x1, window, workers, full, reference=ref)
+            for (T, Q, x0, x1, ref) in TABLE3_ROWS
+        ]
 
 
 def reference_deviation(report: DensityReport, convention: str) -> float:

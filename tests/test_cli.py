@@ -410,7 +410,7 @@ def test_small_argv_cover_every_subcommand():
 def test_every_subcommand_renders_every_format(capsys, command, fmt):
     argv, header = SMALL_ARGV[command]
     args = build_parser().parse_args(argv + ["--format", fmt])
-    assert isinstance(args.func(args), cli.Output)
+    assert isinstance(cli.subcommand(args.command)(args), cli.Output)
     assert capsys.readouterr().out == ""  # only main prints
     code, out, err = run(capsys, *argv, "--format", fmt)
     if fmt == "csv" and header is None:
@@ -440,6 +440,97 @@ def test_only_invariant_errors_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_classify", bug)
     with pytest.raises(ZeroDivisionError):
         main(["classify", "--t", "3"])
+
+
+def _parser_corpus():
+    """Over 600 argv: every small argv in every format, argparse rejections,
+    domain errors and varied parameters for each subcommand."""
+    corpus = [argv + ["--format", fmt] for argv, _ in SMALL_ARGV.values()
+              for fmt in ("text", "json", "csv", "xml")]
+    corpus += [
+        [], ["--help"], ["-h"], ["no-such-command"], ["classify", "--help"], ["table3", "-h"],
+        ["seq", "--t", "3"], ["seq", "--t", "3", "--x", "1"], ["seq", "--t", "3", "--x", "1,2,3"],
+        ["seq", "--t", "3", "--x", "a,b"], ["seq", "--t", "3", "--x", "1,1", "--range", "a..b"],
+        ["seq", "--t", "3", "--x", "1,1", "--range", "5..2"], ["seq", "--t", "3", "--x", "1,1", "--range", "7"],
+        ["classify"], ["classify", "--t"], ["classify", "--t", "1/0"], ["classify", "--t", "x"],
+        ["classify", "--t", "3", "--T", "5"], ["torsion", "--t", "nan"], ["sqrt", "--t", "3"],
+        ["laxton-eq", "--t", "3", "--x", "1,2"], ["divisors", "--t", "3"],
+        ["divisors", "--t", "3", "--x", "1,4", "--primes", "0"],
+        ["divisors", "--t", "3", "--x", "1,4", "--window", "mid:5"],
+        ["divisors", "--t", "3", "--x", "1,4", "--window", "first:" + HUGE],
+        ["partition", "--t", "3", "--x", "1,4", "--window", "below:x"],
+        ["table3", "--convention", "maybe"], ["table3", "--primes", "-3"],
+        ["table3", "--parallel", "x"], ["independence", "--T", "5", "--x", "17,11"],
+        ["independence", "--T", "5", "--Q", "3"], ["classify", "--t", "3", "--format", "yaml"],
+        ["classify", "--t", "3", "extra"], ["seq", "--t", "3", "--x", "1,1", "--bogus"],
+    ]
+    corpus += [
+        ["torsion", "--t", "2"], ["torsion", "--t", "0"], ["classify", "--t", "-1"],
+        ["classify", "--t", "4/2"], ["seq", "--x", "1,1"], ["seq", "--T", "5", "--x", "1,1"],
+        ["seq", "--t", "3", "--T", "5", "--Q", "3", "--x", "1,1"],
+        ["sqrt", "--t", "3", "--x", "0,0"], ["sqrt", "--t", "2", "--x", "1,3"],
+        ["laxton-eq", "--t", "3", "--x", "1,1", "--y", "0,0"],
+        ["divisors", "--t", "3", "--x", "0,0", "--primes", "10"],
+        ["divisors", "--t", "3", "--x", "1,4", "--primes", "20", "--window", "first:10"],
+        ["partition", "--t", "3", "--primes", "10"], ["partition", "--t", "3", "--cubic", "--primes", "10"],
+        ["table3", "--primes", "1"], ["table3", "--window", "below:3"],
+        ["independence", "--T", "5/2", "--Q", "3", "--x", "17,11", "--primes", "5"],
+        ["independence", "--T", "6", "--Q", "4", "--x", "1,1", "--primes", "5"],
+        ["independence", "--T", "5", "--Q", "3", "--x", "1/2,1", "--primes", "5"],
+        ["seq", "--t", "3", "--x", "1,1", "--range", "11000..11000"],
+        ["classify", "--t", "3", "--format", "csv"], ["laxton-eq", "--t", "3", "--x", "2,9", "--y", "25,66",
+                                                      "--format", "csv"],
+    ]
+    ts = sorted({str(Fraction(n, d)) for d in (1, 2, 3, 4, 5, 9) for n in range(-24, 25)})
+    fmts = ("text", "json")
+    for i, t in enumerate(ts):
+        corpus.append(["classify", "--t", t, "--format", fmts[i % 2]])
+        corpus.append(["torsion", "--t", t, "--format", ("text", "json", "csv")[i % 3]])
+    for i, (a, b) in enumerate([(a, b) for a in range(-4, 5) for b in range(-4, 5)]):
+        t = ("3", "7/2", "-5", "6/5")[i % 4]
+        pair = "%d,%d" % (a, b)
+        corpus.append(["sqrt", "--t", t, "--x", pair, "--format", fmts[i % 2]])
+        corpus.append(["laxton-eq", "--t", t, "--x", pair, "--y", "%d,%d" % (b, a + b), "--format", fmts[i % 2]])
+        corpus.append(["seq", "--t", t, "--x", pair, "--range", "%d..%d" % (a, a + 4)])
+    for i, size in enumerate(range(1, 25)):
+        corpus.append(["divisors", "--t", ("3", "19/3")[i % 2], "--x", "1,4", "--primes", str(size)])
+        corpus.append(["partition", "--t", "-6/5", "--cubic", "--window", "below:%d" % (8 * size)])
+        corpus.append(["independence", "--T", "5", "--Q", "3", "--x", "17,11", "--window",
+                       "first:%d" % size, "--convention", ("pi_t", "all")[i % 2]])
+    return corpus
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(monkeypatch):
+    corpus = _parser_corpus()
+    assert len(corpus) >= 600
+    fresh = []
+    for argv in corpus:
+        cli._parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    shared = [_run_captured(argv) for argv in corpus]
+    assert len(builds) == 1
+    for argv, a, b in zip(corpus, shared, fresh):
+        assert a == b, argv
+    codes = {code for code, _, _ in fresh}
+    assert codes == {0, 2}
 
 
 def test_independence_huge_prime_T(capsys):

@@ -16,6 +16,7 @@ from seqlab.ring import ParamPair, chebyshev_c, make_element
 from seqlab.lab import PrimeWindow, gamma
 from seqlab.group import (
     GroupElement,
+    _lucas_v,
     class_c,
     class_v,
     class_w,
@@ -336,6 +337,15 @@ def test_witness_search_matches_exhaustive_reference():
         assert rep.decomposition == maximal_decomposition(t)
         found += bool(got)
     assert found > 100
+
+
+def test_integer_lucas_ladder_matches_chebyshev_on_fractions():
+    """q**r * C_r(p/q) = V_r(p, q**2), the identity the witness test rests on."""
+    big = [10**33 + 1, -(10**33 + 57), 3 * 10**33 - 7, 2**111 + 1]
+    for p in list(range(-60, 61)) + big:
+        for q in range(1, 10):
+            for r in range(14):
+                assert _lucas_v(p, q * q, r) == q ** r * chebyshev_c(F(p, q), r), (p, q, r)
 
 
 def test_witness_search_keeps_the_windows_sieve_table():

@@ -1,5 +1,6 @@
 """Experiment-lab sweeps: windows, divisor sets, partitions, density reports."""
 
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -88,6 +89,25 @@ def test_parallel_flags_match_serial():
     eligible, _ = window_split(t, PrimeWindow("first", 2600))
     assert len(eligible) >= lab.POOL_MIN_PRIMES  # so the pool runs
     assert divisor_flags(xs, eligible, processes=2) == divisor_flags(xs, eligible)
+
+
+def test_table3_shares_one_pool_across_its_rows(monkeypatch):
+    """Six rows, one pool start, closed before table3 returns, and the
+    serial reports."""
+    window = PrimeWindow("first", 3000)
+    serial = table3(window, full=True)
+    starts = []
+    real_pool = lab.Pool
+
+    def counted_pool(*args, **kwargs):
+        starts.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "Pool", counted_pool)
+    assert min(rep.eligible_count for rep in serial) >= lab.POOL_MIN_PRIMES  # so every row pools
+    assert table3(window, processes=2, full=True) == serial
+    assert starts == [(2,)]
+    assert multiprocessing.active_children() == []
 
 
 def test_partition_six_runs_and_counts():
