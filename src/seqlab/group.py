@@ -220,7 +220,6 @@ def _chebyshev_witnesses(t: Fraction) -> List[ChebyshevWitness]:
     """
     n, d = t.numerator, t.denominator
     out: List[ChebyshevWitness] = []
-    # is_prime, not a sieve: a sieve here would replace the window's table
     for r in filter(_primes.is_prime, range(2, _witness_prime_bound(t) + 1)):
         q = iroot(d, r)
         if q ** r != d:

@@ -15,6 +15,7 @@ can count the window primes outside the admissible set in the denominator
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -112,15 +113,16 @@ POOL_MIN_PRIMES = 2500
 
 
 class Workers:
-    """A worker pool of `processes` workers, started by the first sweep that
-    needs one and shared by every sweep until the block ends.
+    """A worker pool of `processes` workers, at most one per CPU, started by
+    the first sweep that needs one and shared by every sweep until the block
+    ends.
 
         with Workers(2) as workers:
             flags = divisor_flags(elements, primes, workers)
     """
 
     def __init__(self, processes: Optional[int]) -> None:
-        self.processes = processes
+        self.processes = processes if processes is None else min(processes, os.cpu_count() or 1)
         self._pool = None
 
     def starmap(self, func, jobs):

@@ -26,7 +26,7 @@ chains"; Joye and Quisquater 1996, "Efficient computation of full Lucas
 sequences").  Every order comes from one descent over the factors of N, the
 least m | N with V_m(s) = 2; V_q(V_n(s)) = V_qn(s) lets each step go on from
 the last value.  m = ord_p(D) is found once per (t, p), and N's factors
-come from the window's sieve (primes.sieve_factors).
+come from primes.factorize, which reads them off the window's sieve.
 
 The index k = N/m of <D> in G is always even, and Euler's criterion on det
 decides membership in the squares G**2.  X -> z maps G onto a cyclic group
@@ -54,12 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import primes as _primes
 from .errors import ExcludedPrimeError, SingularElementError
 from .group import GroupElement
-from .rational import factorize
 from .ring import RationalLike, _frac
 from .transforms import check_parameter
 
@@ -67,7 +66,12 @@ from .transforms import check_parameter
 def in_admissible_set(t: RationalLike, p: int) -> bool:
     """Whether p belongs to the admissible prime set of t."""
     t = _frac(t)
-    return p != 2 and _primes.known_prime(p) and exclusion_modulus(t.numerator, t.denominator) % p != 0
+    return _admissible(t.numerator, t.denominator, p)
+
+
+def _admissible(num: int, den: int, p: int) -> bool:
+    """Whether p is an odd prime admissible for t = num/den in lowest terms."""
+    return p != 2 and _primes.is_prime(p) and exclusion_modulus(num, den) % p != 0
 
 
 def exclusion_modulus(n: int, d: int) -> int:
@@ -100,18 +104,11 @@ def _row(num: int, den: int, p: int) -> Tuple[int, int, int]:
     p is admissible for t.  N - p = +-1 and, on almost every row, the index
     k = N/ord_p(D) are small ints that Python shares, so a cached row owns
     no int but t_p."""
-    if p == 2 or exclusion_modulus(num, den) % p == 0 or not _primes.known_prime(p):
+    if not _admissible(num, den, p):
         raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, Fraction(num, den)))
     t_p = num * pow(den, -1, p) % p
     n = p - 1 if _is_residue(t_p * t_p - 4, p) else p + 1
-    return t_p, n - p, n // _order((t_p * t_p - 2) % p, p, n, _factors(n))
-
-
-def _factors(n: int) -> Iterable[Tuple[int, int]]:
-    """The prime powers of a group order n = p +- 1, from the window's sieve
-    when it covers n, else by trial division."""
-    found = _primes.sieve_factors(n)
-    return factorize(n).items() if found is None else found
+    return t_p, n - p, n // _order((t_p * t_p - 2) % p, p, n)
 
 
 def _is_residue(x: int, p: int) -> bool:
@@ -130,12 +127,12 @@ def _lucas_v(s: int, p: int, n: int) -> int:
     return v
 
 
-def _order(s: int, p: int, n: int, factors: Iterable[Tuple[int, int]]) -> int:
+def _order(s: int, p: int, n: int) -> int:
     """The least m | n with V_m(s) = 2: the order of a class with that s in
     the group of order n.  Strip each prime power q**e off n, then put back
     the factors q the class still needs."""
     m = n
-    for q, e in factors:
+    for q, e in _primes.factorize(n).items():
         m //= q ** e
         v = _lucas_v(s, p, m)
         while v != 2:
@@ -184,9 +181,8 @@ def modp_reduce(x: GroupElement, p: int) -> ModpElement:
 
 def ord_p(x: ModpElement) -> int:
     ctx = x.ctx
-    n = ctx.group_order
     s = _class_s(ctx.t_p, ctx.p, x.a0, x.a1, _det(ctx.t_p, ctx.p, x.a0, x.a1))
-    return _order(s, ctx.p, n, _factors(n))
+    return _order(s, ctx.p, ctx.group_order)
 
 
 def ord_companion(t: RationalLike, p: int) -> int:
@@ -202,7 +198,7 @@ def xi(t: RationalLike, p: int) -> int:
     D**-1 class).
     """
     ctx = modp_context(t, p)
-    return _order(ctx.t_p, p, ctx.group_order, _factors(ctx.group_order))
+    return _order(ctx.t_p, p, ctx.group_order)
 
 
 def _divides(t_p: int, e: int, k: int, p: int, a0: int, a1: int) -> bool:

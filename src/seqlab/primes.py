@@ -1,16 +1,19 @@
-"""Prime enumeration for the divisor experiments.
+"""Primes for the divisor experiments: enumeration, primality, factoring.
 
 One sieve of Eratosthenes that records smallest prime factors; a
 count-based request sieves once, up to Rosser's bound on the n-th prime.
 Windows in this package are always odd primes: 2 never belongs to the
 admissible set of any parameter.
 
-The last sieve's smallest-prime-factor table stays behind: `known_prime`
-and `sieve_factors` read it for the window's primes p and for p +- 1, in
-place of Miller-Rabin and trial division.  It holds one 16-bit entry per
-odd n below the sieve's bound, so a sweep's window bounds it: 114 KB for
-the first 10 000 odd primes, 16 MB for below:16000000.  A sieve past
-TABLE_BELOW, which no window reaches, keeps no table.
+The largest sieve's smallest-prime-factor table stays behind, and only
+this module reads it: `is_prime` answers from it for odd n below its
+bound, and `factorize` when the odd part of n is, so a sweep's rows find
+p's primality and the factors of p +- 1 there.  Elsewhere they fall back
+to Miller-Rabin and to trial division.  The table holds one 16-bit entry
+per odd n below the bound, so the largest window bounds it: 114 KB for the
+first 10 000 odd primes, 16 MB for below:16000000.  A sieve no larger
+than the kept one builds no table, so no caller can shrink it; nor does a
+sieve past TABLE_BELOW, which no window reaches.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import sys
 from itertools import compress
 from math import gcd, isqrt, log, prod
-from typing import List, Optional, Tuple
+from typing import Dict, List
 
 TABLE_BELOW = 1 << 24  # above both window caps: first:1000000 sieves to 16 441 814
 
-# (bound, spf) of the last sieve: for odd n < bound, spf[n // 2] is the
+# (bound, spf) of the largest sieve: for odd n < bound, spf[n // 2] is the
 # least prime factor of n, or 0 when n is 1 or a prime.  One tuple, so a
 # reader never pairs one sieve's bound with another's table.  Which table
 # is kept changes how fast an answer comes, never the answer.
@@ -30,12 +33,13 @@ _table = (0, memoryview(b"").cast("H"))
 
 
 def primes_below(bound: int) -> List[int]:
-    """All primes p < bound, ascending.  Keeps the sieve's table."""
+    """All primes p < bound, ascending.  Keeps the sieve's table if it is
+    the largest so far."""
     global _table
     if bound <= 2:
         return []
     half = bound // 2  # the odd n = 2*i + 1 < bound
-    spf = memoryview(bytearray(2 * half)).cast("H") if bound <= TABLE_BELOW else None
+    spf = memoryview(bytearray(2 * half)).cast("H") if _table[0] < bound <= TABLE_BELOW else None
     odd = bytearray([1]) * half
     odd[0] = 0
     # odd q from sqrt(bound) down, composite q included: the last q written
@@ -68,33 +72,35 @@ def first_odd_primes(count: int) -> List[int]:
     return odd_primes_below(bound)[:count]
 
 
-def known_prime(n: int) -> bool:
-    """is_prime(n), read off the last sieve's table when n is odd and below its bound."""
+def is_prime(n: int) -> bool:
+    """Whether n is prime: off the sieve table when n is odd and below its
+    bound, else by `_miller_rabin`."""
     bound, spf = _table
     if n & 1 and 0 < n < bound:
         return n > 1 and not spf[n >> 1]
-    return is_prime(n)
+    return _miller_rabin(n)
 
 
-def sieve_factors(n: int) -> Optional[List[Tuple[int, int]]]:
-    """The prime factorization of n >= 1 as ascending (q, e) pairs, from the
-    last sieve's table; None when the odd part of n is not below its bound.
-
-    So every p +- 1 of an odd prime p < bound is covered.
-    """
+def factorize(n: int) -> Dict[int, int]:
+    """The prime factorization {q: e} of |n|, q ascending; factorize(0) is an
+    error.  Off the sieve table when the odd part of n is below its bound,
+    else by `_trial_division`."""
+    if n == 0:
+        raise ValueError("cannot factorize 0")
+    n = abs(n)
     bound, spf = _table
     twos = (n & -n).bit_length() - 1
     m = n >> twos
     if m >= bound:
-        return None
-    out = [(2, twos)] if twos else []
+        return _trial_division(n)
+    out = {2: twos} if twos else {}
     while m > 1:
         q = spf[m >> 1] or m
         e = 0
         while m % q == 0:
             m //= q
             e += 1
-        out.append((q, e))
+        out[q] = e
     return out
 
 
@@ -112,7 +118,7 @@ _MR_BOUNDS = (
 )
 
 
-def is_prime(n: int) -> bool:
+def _miller_rabin(n: int) -> bool:
     """Primality by small-prime gcd, then deterministic Miller-Rabin.
 
     Exact for every n < EXACT_BELOW (about 3.3 * 10**24); above that it is
@@ -140,3 +146,28 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _trial_division(n: int) -> Dict[int, int]:
+    """The prime factorization of n >= 1 by trial division over 2, 3 and
+    6k +- 1.  Division stops once the cofactor is a prime that `is_prime`
+    decides exactly; a larger probable prime is still trial-divided."""
+    out: Dict[int, int] = {}
+    for q in (2, 3):
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    f, tested = 5, 0
+    while f * f <= n:
+        if n != tested:  # a new cofactor
+            if n < EXACT_BELOW and is_prime(n):
+                break
+            tested = n
+        for q in (f, f + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        f += 6
+    if n > 1:
+        out[n] = 1
+    return out

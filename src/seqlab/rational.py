@@ -2,19 +2,19 @@
 
 Fraction already keeps values in lowest terms with a positive denominator,
 so this module only adds the pieces the rest of the package needs: the
-"a/b" serialization used by the CLI and file formats, exact square testing,
-and small integer-factorization utilities (trial division is plenty at the
-scale this package works at).
+"a/b" serialization used by the CLI and file formats, exact roots and
+square testing, and the divisor list and squarefree decomposition of an
+integer, both built on `primes.factorize`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from . import primes as _primes
 from .errors import SeqLabError
+from .primes import factorize
 
 
 _TOO_LONG = 10**1000  # the least value of over 1000 digits
@@ -91,40 +91,6 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 def is_rational_square(x: Fraction) -> bool:
     return rational_sqrt(x) is not None
-
-
-def _proven_prime(n: int) -> bool:
-    return n < _primes.EXACT_BELOW and _primes.is_prime(n)
-
-
-def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of |n| by trial division. factorize(0) is an error.
-
-    Division stops early once the cofactor is a prime that `is_prime`
-    decides exactly; a larger probable prime is still trial-divided.
-    """
-    if n == 0:
-        raise ValueError("cannot factorize 0")
-    n = abs(n)
-    out: Dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # wheel over 6k +- 1
-    f = 5
-    done = _proven_prime(n)
-    while not done and f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                while n % p == 0:
-                    out[p] = out.get(p, 0) + 1
-                    n //= p
-                done = _proven_prime(n)
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def divisors(n: int) -> List[int]:

@@ -34,7 +34,8 @@ from math import gcd
 from typing import Callable, Optional, Tuple
 
 from .errors import ContextMismatchError, DegenerateParameterError, InvariantError
-from .rational import factorize, rational_sqrt, squarefree_decompose
+from .primes import factorize
+from .rational import rational_sqrt, squarefree_decompose
 from .ring import (
     ParamPair,
     RationalLike,

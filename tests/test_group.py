@@ -348,10 +348,11 @@ def test_integer_lucas_ladder_matches_chebyshev_on_fractions():
                 assert _lucas_v(p, q * q, r) == q ** r * chebyshev_c(F(p, q), r), (p, q, r)
 
 
-def test_witness_search_keeps_the_windows_sieve_table():
+def test_witness_search_keeps_the_windows_sieve_table(monkeypatch):
     """The divisor rows of a sweep read p's primality and the factors of
-    p +- 1 off the last sieve's table, so a primitivity call between two
+    p +- 1 off the largest sieve's table, so a primitivity call between two
     sweeps of one window must not replace it."""
+    monkeypatch.setattr(primes, "_table", (0, memoryview(b"").cast("H")))
     window = PrimeWindow("first", 500)
     gamma(class_v(F(19, 3)), window)
     table = primes._table

@@ -1,6 +1,7 @@
 """Experiment-lab sweeps: windows, divisor sets, partitions, density reports."""
 
 import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -104,10 +105,42 @@ def test_table3_shares_one_pool_across_its_rows(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(lab, "Pool", counted_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so one CPU does not cap the pool at 1
     assert min(rep.eligible_count for rep in serial) >= lab.POOL_MIN_PRIMES  # so every row pools
     assert table3(window, processes=2, full=True) == serial
     assert starts == [(2,)]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, expect", [(None, 1), (1, 1), (3, 3), (8, 8)])
+def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
+    """A pool asked for 10**6 workers gets one per CPU, and the chunks are
+    sized for the capped count.  The pool here is a stand-in that runs the
+    jobs in-process, so no worker process is started."""
+    sizes, chunks = [], []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def starmap(self, func, jobs):
+            chunks.extend(len(primes) for _, primes in jobs)
+            return [func(*job) for job in jobs]
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(lab, "Pool", FakePool)
+    x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
+    eligible, _ = window_split(F(3), PrimeWindow("first", 2600))
+    assert lab.Workers(10**6).processes == expect
+    assert divisor_flags([x], eligible, processes=10**6) == divisor_flags([x], eligible)
+    if expect == 1:
+        assert sizes == [] and chunks == []  # one worker runs serially
+    else:
+        assert sizes == [expect]
+        assert chunks[0] == max(32, len(eligible) // (4 * expect)) and sum(chunks) == len(eligible)
 
 
 def test_partition_six_runs_and_counts():

@@ -8,6 +8,7 @@ multiplied as 2-vectors by square-and-multiply, which shares nothing with
 the layer's Lucas ladder.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from seqlab import lab, modp, primes as primes_module
 from seqlab.errors import ExcludedPrimeError, SingularElementError
 from seqlab.ring import ParamPair
 from seqlab.transforms import classify_cyclotomic
-from seqlab.group import GroupElement, class_c, class_v, class_w, companion_class
+from seqlab.group import GroupElement, class_c, class_v, class_w, companion_class, primitivity
 from seqlab.lab import PrimeWindow, cubic_partition, divisor_flags, gamma, partition_six
 from seqlab.modp import (
     divisor_table,
@@ -31,8 +32,7 @@ from seqlab.modp import (
     trichotomy_class,
     xi,
 )
-from seqlab.primes import odd_primes_below
-from seqlab.rational import factorize
+from seqlab.primes import factorize, odd_primes_below
 
 F = Fraction
 
@@ -410,6 +410,7 @@ def test_divisor_flags_parallel_equals_serial(monkeypatch):
     primes = [p for p in odd_primes_below(25_000) if in_admissible_set(t, p)]
     assert len(primes) >= lab.POOL_MIN_PRIMES  # below that the serial path runs
     started = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so one CPU does not cap the pool at 1
     monkeypatch.setattr(lab, "Pool", lambda n, real=lab.Pool: started.append(n) or real(n))
     assert divisor_flags(elements, primes, processes=2) == divisor_flags(elements, primes)
     assert started == [2]
@@ -559,8 +560,10 @@ def test_gate_matches_ladder_reference_on_every_class(t):
 
 def test_window_sweeps_neither_test_primality_nor_factor(monkeypatch):
     """Rows built by a sweep read p's primality and the factors of p +- 1
-    off the window's sieve."""
-    counts = {"is_prime": 0, "factorize": 0}
+    off the window's sieve: neither Miller-Rabin nor trial division runs,
+    and a primitivity call or a smaller sieve after the sweep keeps the
+    table."""
+    counts = {"_miller_rabin": 0, "_trial_division": 0}
 
     def counted(name, real):
         def call(n):
@@ -568,8 +571,9 @@ def test_window_sweeps_neither_test_primality_nor_factor(monkeypatch):
             return real(n)
         return call
 
-    monkeypatch.setattr(primes_module, "is_prime", counted("is_prime", primes_module.is_prime))
-    monkeypatch.setattr(modp, "factorize", counted("factorize", modp.factorize))
+    for name in counts:
+        monkeypatch.setattr(primes_module, name, counted(name, getattr(primes_module, name)))
+    monkeypatch.setattr(primes_module, "_table", (0, memoryview(b"").cast("H")))
     modp._row.cache_clear()
     t = F(19, 3)
     x = GroupElement.from_pair(ParamPair.one_param(t), 1, 4)
@@ -578,7 +582,11 @@ def test_window_sweeps_neither_test_primality_nor_factor(monkeypatch):
     partition_six(x, window)
     cubic_partition(F(11, 7), PrimeWindow("below", 5000))
     assert modp._row.cache_info().misses > 1300
-    assert counts == {"is_prime": 0, "factorize": 0}
+    assert counts == {"_miller_rabin": 0, "_trial_division": 0}
+    table = primes_module._table
+    primitivity(3)
+    odd_primes_below(100)
+    assert primes_module._table is table
 
 
 def test_row_cache_is_bounded():
@@ -599,14 +607,16 @@ def test_excluded_prime_messages():
 def test_warm_rows_need_no_factoring(monkeypatch):
     """Once the rows are cached, modp_reduce, qr_filter and ord_companion
     factor nothing; ord_p and xi read the group order's factors off the
-    window's sieve, as the rows do, and trial-divide only outside it."""
+    window's sieve, as the rows do, and a smaller sieve keeps it."""
+    monkeypatch.setattr(primes_module, "_table", (0, memoryview(b"").cast("H")))
     t = F(19, 3)
     primes = [p for p in odd_primes_below(800) if in_admissible_set(t, p)]
     for p in primes:
         ord_companion(t, p)
-    calls = []
-    real = modp.factorize
-    monkeypatch.setattr(modp, "factorize", lambda n: calls.append(n) or real(n))
+    calls, trial = [], []
+    real, real_trial = primes_module.factorize, primes_module._trial_division
+    monkeypatch.setattr(primes_module, "factorize", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(primes_module, "_trial_division", lambda n: trial.append(n) or real_trial(n))
     x = GroupElement.from_pair(ParamPair.one_param(t), 2, 7)
     reduced = []
     for p in primes:
@@ -620,11 +630,9 @@ def test_warm_rows_need_no_factoring(monkeypatch):
     for el in reduced:
         assert ord_p(el) == pair_order(t, el.ctx.p, (el.a0, el.a1))
         assert xi(t, el.ctx.p) == pair_order(t, el.ctx.p, (-1, 1))
-    assert calls == []
-    odd_primes_below(100)  # a smaller sieve: group orders past it are trial-divided
+    assert len(calls) == 2 * len(reduced) and trial == []
+    odd_primes_below(100)  # a smaller sieve keeps the table
     for el in reduced:
         ord_p(el)
         xi(t, el.ctx.p)
-    n = [el.ctx.group_order for el in reduced]
-    outside = [k for k in n if k >> ((k & -k).bit_length() - 1) >= 100]
-    assert len(outside) > 50 and calls == [k for k in outside for _ in (0, 1)]
+    assert trial == []

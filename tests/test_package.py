@@ -39,6 +39,26 @@ def test_no_import_inside_a_function():
     assert found == []
 
 
+def test_only_primes_reads_its_table():
+    """The sieve table is read through primes.is_prime and primes.factorize
+    alone: no other module names `_table`, as an attribute or an import."""
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py") or fname == "primes.py":
+            continue
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for node in ast.walk(tree):
+            names = (
+                [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            found += ["%s:%d" % (fname, node.lineno) for name in names if name == "_table"]
+    assert found == []
+
+
 def test_no_unused_import():
     """Every name a module imports is used in it; only __init__ re-exports."""
     found = []

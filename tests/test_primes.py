@@ -1,8 +1,19 @@
 """Prime enumeration and primality against each other and known hard cases."""
 
-from seqlab import modp, primes
-from seqlab.primes import first_odd_primes, is_prime, known_prime, primes_below, sieve_factors
-from seqlab.rational import factorize
+import pytest
+
+from seqlab import primes
+from seqlab.primes import (
+    _miller_rabin,
+    _trial_division,
+    factorize,
+    first_odd_primes,
+    is_prime,
+    odd_primes_below,
+    primes_below,
+)
+
+EMPTY = (0, memoryview(b"").cast("H"))  # the table before any sieve
 
 
 def test_is_prime_agrees_with_sieve():
@@ -32,26 +43,35 @@ def test_first_odd_primes_is_a_prefix_of_one_sieve():
         assert first_odd_primes(k) == odd[: max(k, 0)], k
 
 
-def test_sieve_table_matches_is_prime_and_factorize():
+def test_sieve_table_matches_is_prime_and_factorize(monkeypatch):
     """Every n < 20 000 from the table of one sieve; at its edge (bound - 1,
     bound, bound + 1) the table or the fallback gives the same answers."""
     for bound in (20_000, 20_012):  # 20 011 is prime
+        monkeypatch.setattr(primes, "_table", EMPTY)
         primes_below(bound)
+        assert primes._table[0] == bound
         for n in list(range(-3, 20_000)) + [bound - 1, bound, bound + 1]:
-            assert known_prime(n) == is_prime(n), n
-            if n < 1:
-                continue
-            odd_part = n >> ((n & -n).bit_length() - 1)
-            got = sieve_factors(n)
-            assert got == (None if odd_part >= bound else list(factorize(n).items())), n
-            assert list(modp._factors(n)) == list(factorize(n).items()), n
-    assert sieve_factors(20_013) is None and sieve_factors(2 * 20_011) == [(2, 1), (20_011, 1)]
+            assert is_prime(n) == _miller_rabin(n), n
+            if n:
+                assert list(factorize(n).items()) == list(_trial_division(abs(n)).items()), n
+    assert factorize(2 * 20_011) == {2: 1, 20_011: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
-def test_sieve_keeps_one_bounded_table():
+def test_sieve_keeps_one_bounded_table(monkeypatch):
+    """The largest sieve's table stays; a smaller sieve cannot shrink it."""
+    monkeypatch.setattr(primes, "_table", EMPTY)
     primes_below(5_000)
-    assert primes._table[0] == 5_000 and len(primes._table[1]) == 2_500
-    primes_below(300)  # the latest sieve replaces the table
-    assert primes._table[0] == 300 and len(primes._table[1]) == 150
-    assert sieve_factors(301) is None
+    table = primes._table
+    assert table[0] == 5_000 and len(table[1]) == 2_500
+    primes_below(300)
+    odd_primes_below(5_000)
+    first_odd_primes(10)
+    assert primes._table is table
+    primes_below(6_000)  # a larger sieve replaces it
+    assert primes._table[0] == 6_000 and len(primes._table[1]) == 3_000
     assert primes.TABLE_BELOW >= 16_441_814  # what first:1000000 sieves to
+    monkeypatch.setattr(primes, "TABLE_BELOW", 7_000)
+    primes_below(8_000)  # past TABLE_BELOW: no table
+    assert primes._table[0] == 6_000

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqlab.errors import SeqLabError
-from seqlab.primes import is_prime
+from seqlab.primes import factorize, is_prime
 from seqlab.rational import (
     divisors,
-    factorize,
     format_rational,
     iroot,
     is_rational_square,
