@@ -113,9 +113,9 @@ POOL_MIN_PRIMES = 2500
 
 
 class Workers:
-    """A worker pool of `processes` workers, at most one per CPU, started by
-    the first sweep that needs one and shared by every sweep until the block
-    ends.
+    """A worker pool of `processes` workers, at most the machine's CPU count
+    (`os.cpu_count()`), started by the first sweep that needs one and
+    shared by every sweep until the block ends.
 
         with Workers(2) as workers:
             flags = divisor_flags(elements, primes, workers)

@@ -150,24 +150,24 @@ def _miller_rabin(n: int) -> bool:
 
 def _trial_division(n: int) -> Dict[int, int]:
     """The prime factorization of n >= 1 by trial division over 2, 3 and
-    6k +- 1.  Division stops once the cofactor is a prime that `is_prime`
-    decides exactly; a larger probable prime is still trial-divided."""
+    6k +- 1.  Division stops early once the cofactor is a prime that
+    `_miller_rabin` decides exactly; a larger probable prime is still
+    trial-divided."""
     out: Dict[int, int] = {}
     for q in (2, 3):
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    f, tested = 5, 0
-    while f * f <= n:
-        if n != tested:  # a new cofactor
-            if n < EXACT_BELOW and is_prime(n):
-                break
-            tested = n
+    f = 5
+    done = n < EXACT_BELOW and _miller_rabin(n)
+    while not done and f * f <= n:
         for q in (f, f + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
+            if n % q == 0:
+                while n % q == 0:
+                    out[q] = out.get(q, 0) + 1
+                    n //= q
+                done = n < EXACT_BELOW and _miller_rabin(n)
         f += 6
     if n > 1:
-        out[n] = 1
+        out[n] = out.get(n, 0) + 1
     return out

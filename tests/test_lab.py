@@ -114,7 +114,7 @@ def test_table3_shares_one_pool_across_its_rows(monkeypatch):
 
 @pytest.mark.parametrize("cpus, expect", [(None, 1), (1, 1), (3, 3), (8, 8)])
 def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
-    """A pool asked for 10**6 workers gets one per CPU, and the chunks are
+    """A pool asked for 10**6 workers gets the CPU count, and the chunks are
     sized for the capped count.  The pool here is a stand-in that runs the
     jobs in-process, so no worker process is started."""
     sizes, chunks = [], []

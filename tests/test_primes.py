@@ -17,23 +17,25 @@ EMPTY = (0, memoryview(b"").cast("H"))  # the table before any sieve
 
 
 def test_is_prime_agrees_with_sieve():
-    sieved = set(primes_below(200_000))
-    assert [n for n in range(-3, 200_000) if is_prime(n)] == sorted(sieved)
+    """Miller-Rabin itself, not the table the sieve leaves behind."""
+    sieved = sorted(primes_below(200_000))
+    assert [n for n in range(-3, 200_000) if _miller_rabin(n)] == sieved
+    assert [n for n in range(-3, 200_000) if is_prime(n)] == sieved
 
 
 def test_is_prime_large_cases():
     large_primes = (1_000_003, 2**31 - 1, 999_999_999_989, 2**61 - 1, 10**18 + 9, 2**89 - 1)
     for p in large_primes:
-        assert is_prime(p)
-        assert not is_prime(p * p)
+        assert is_prime(p) and _miller_rabin(p)
+        assert not is_prime(p * p) and not _miller_rabin(p * p)
     carmichael = (561, 1105, 1729, 2465, 41041, 825265, 321197185, 5394826801, 232250619601)
     # the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
     strong_pseudoprimes = (
         2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         341550071728321, 3825123056546413051, 318665857834031151167461,
     )
-    for n in carmichael + strong_pseudoprimes:
-        assert not is_prime(n), n
+    for n in carmichael + strong_pseudoprimes:  # below a table's bound too
+        assert not is_prime(n) and not _miller_rabin(n), n
 
 
 def test_first_odd_primes_is_a_prefix_of_one_sieve():
