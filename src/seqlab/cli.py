@@ -89,8 +89,6 @@ def _add_window_args(p: argparse.ArgumentParser, default: str) -> None:
                    help="prime window, 'first:K' or 'below:B' (default %s)" % default)
     p.add_argument("--primes", type=_primes_arg, default=None, metavar="K",
                    help="shorthand for --window first:K")
-    p.add_argument("--parallel", type=int, default=None, metavar="N",
-                   help="sweep the window with N worker processes")
 
 
 def _resolve_window(args: argparse.Namespace) -> PrimeWindow:
@@ -231,8 +229,7 @@ def cmd_divisors(args: argparse.Namespace) -> Output:
     t = _require_t(args)
     window = _resolve_window(args)
     x = GroupElement.from_pair(ParamPair.one_param(t), *args.x)
-    eligible, excluded = lab.window_split(t, window)
-    flags = lab.divisor_flags([x], eligible, processes=args.parallel)
+    eligible, excluded, flags = lab.sweep([x], window)
     members = [p for p, (hit,) in zip(eligible, flags) if hit]
     payload = {
         "t": format_rational(t),
@@ -257,13 +254,13 @@ def cmd_partition(args: argparse.Namespace) -> Output:
     t = _require_t(args)
     window = _resolve_window(args)
     if args.cubic:
-        part = lab.cubic_partition(t, window, processes=args.parallel)
+        part = lab.cubic_partition(t, window)
         label = "Gamma(S)"
     else:
         if args.x is None:
             raise SeqLabError("--x is required unless --cubic is given")
         x = GroupElement.from_pair(ParamPair.one_param(t), *args.x)
-        part = lab.partition_six(x, window, processes=args.parallel)
+        part = lab.partition_six(x, window)
         label = "Gamma(X^2)"
     payload = part.to_dict()
     cells = [(name, len(ps), " ".join(map(str, ps))) for name, ps in payload["cells"].items()]
@@ -274,7 +271,7 @@ def cmd_partition(args: argparse.Namespace) -> Output:
 
 
 def cmd_table3(args: argparse.Namespace) -> Output:
-    reports = lab.table3(_resolve_window(args), processes=args.parallel, full=args.full)
+    reports = lab.table3(_resolve_window(args), full=args.full)
     for rep in reports:
         dev = lab.reference_deviation(rep, args.convention)
         if dev > 0.01:
@@ -299,10 +296,7 @@ def cmd_independence(args: argparse.Namespace) -> Output:
     x0, x1 = args.x
     if x0.denominator != 1 or x1.denominator != 1:
         raise SeqLabError("--x must be an integer pair")
-    rep = lab.independence_report(
-        int(T), int(Q), int(x0), int(x1), window,
-        processes=args.parallel, full=args.full,
-    )
+    rep = lab.independence_report(int(T), int(Q), int(x0), int(x1), window, full=args.full)
     payload = rep.to_dict()
     dens = payload["densities"][args.convention]
     lines = [

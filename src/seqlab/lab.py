@@ -15,12 +15,13 @@ can count the window primes outside the admissible set in the denominator
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
@@ -102,70 +103,62 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     return eligible, excluded
 
 
-# Fewer primes than this run serially even with `processes`.  On 2 vCPUs,
-# with one pool per `table3` call, a `table3 --full --format json` call (a
+# Sweeps of fewer primes than this run serially: starting a pool eats what
+# it saves there.  On 2 vCPUs, a `table3 --full --format json` call (a
 # fresh interpreter, medians of 7 interleaved runs, the pool forced on at
-# every size) took 0.40 s serially against 0.48 s with `--parallel 2` at
-# first:1800, 0.41 s against 0.43 s at first:2500, 0.62 s against 0.65 s at
-# first:5000 (both within the spread), and 1.32 s against 0.85 s at
-# first:10000.
+# every size) took 0.42 s serially against 0.42 s on a 2-worker pool at
+# first:1800, 0.47 s against 0.53 s at first:2500, 0.87 s against 0.70 s
+# at first:5000 and 2.18 s against 1.32 s at first:10000.
 POOL_MIN_PRIMES = 2500
 
 
-class Workers:
-    """A worker pool of `processes` workers, at most the machine's CPU count
-    (`os.cpu_count()`), started by the first sweep that needs one and
-    shared by every sweep until the block ends.
+_outermost: ContextVar[Optional["Workers"]] = ContextVar("seqlab_workers", default=None)
 
-        with Workers(2) as workers:
-            flags = divisor_flags(elements, primes, workers)
+
+class Workers:
+    """The scope of one worker pool: the first sweep in the block that needs
+    a pool starts it, every later sweep in the block shares it, and the
+    block's end stops it.  An inner block joins the outermost one, so
+
+        with Workers():
+            reports = [independence_report(...) for ...]
+
+    starts at most one pool for all its sweeps.
     """
 
-    def __init__(self, processes: Optional[int]) -> None:
-        self.processes = processes if processes is None else min(processes, os.cpu_count() or 1)
-        self._pool = None
-
-    def starmap(self, func, jobs):
-        if self._pool is None:
-            self._pool = Pool(self.processes)
-        return self._pool.starmap(func, jobs)
+    def __init__(self) -> None:
+        self.pool = None
 
     def __enter__(self) -> "Workers":
-        return self
+        if _outermost.get() is None:
+            _outermost.set(self)
+        return _outermost.get()
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
+        if _outermost.get() is self:
+            _outermost.set(None)
+            if self.pool is not None:
+                self.pool.terminate()
 
 
-def divisor_flags(
-    elements: Sequence[GroupElement],
-    primes: Sequence[int],
-    processes: Union[int, Workers, None] = None,
-) -> List[Tuple[bool, ...]]:
+def divisor_flags(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """Per-prime divisor membership for each element, in window order.
 
-    With `processes` (a worker count, or `Workers` shared by several sweeps)
-    and at least POOL_MIN_PRIMES primes, the prime list is chunked across a
-    pool; chunk results are merged in order, so the output is identical to
-    the serial run.
+    With at least POOL_MIN_PRIMES primes and more than one CPU to run on,
+    the prime list is chunked across a pool of one worker per CPU; chunk
+    results are merged in order, so the output is identical to the serial
+    run.  The CPUs are those of the process's affinity mask where the
+    platform has one, as `os.cpu_count()` counts every CPU of the host.
     """
-    if isinstance(processes, Workers):
-        return _chunked_flags(tuple(elements), primes, processes)
-    with Workers(processes) as workers:
-        return _chunked_flags(tuple(elements), primes, workers)
-
-
-def _chunked_flags(
-    elements: Tuple[GroupElement, ...], primes: Sequence[int], workers: Workers,
-) -> List[Tuple[bool, ...]]:
-    n = workers.processes
-    if not n or n <= 1 or len(primes) < POOL_MIN_PRIMES:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus == 1 or len(primes) < POOL_MIN_PRIMES:
         return divisor_table(elements, primes)
-    chunk = max(32, len(primes) // (4 * n))
+    chunk = max(32, len(primes) // (4 * cpus))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
-    return [row for part in workers.starmap(divisor_table, jobs) for row in part]
+    with Workers() as workers:
+        if workers.pool is None:
+            workers.pool = multiprocessing.Pool(cpus)
+        return [row for part in workers.pool.starmap(divisor_table, jobs) for row in part]
 
 
 def _one_param_t_of(x: GroupElement) -> Fraction:
@@ -174,10 +167,19 @@ def _one_param_t_of(x: GroupElement) -> Fraction:
     return x.ctx.T
 
 
-def gamma(x: GroupElement, window: PrimeWindow, processes: Optional[int] = None) -> Tuple[int, ...]:
+def sweep(
+    elements: Sequence[GroupElement], window: PrimeWindow,
+) -> Tuple[List[int], List[int], List[Tuple[bool, ...]]]:
+    """(admissible, excluded, flags): the window split for the parameter t
+    of the first element, a one-parameter class, and the divisor flags of
+    every element over the admissible primes."""
+    eligible, excluded = window_split(_one_param_t_of(elements[0]), window)
+    return eligible, excluded, divisor_flags(elements, eligible)
+
+
+def gamma(x: GroupElement, window: PrimeWindow) -> Tuple[int, ...]:
     """The divisor set of x restricted to the window's admissible primes."""
-    eligible, _ = window_split(_one_param_t_of(x), window)
-    flags = divisor_flags([x], eligible, processes)
+    eligible, _, flags = sweep([x], window)
     return tuple(p for p, (hit,) in zip(eligible, flags) if hit)
 
 
@@ -230,7 +232,17 @@ _SIX_CELLS = (
 )
 
 
-def partition_six(x: GroupElement, window: PrimeWindow, processes: Optional[int] = None) -> SixPartition:
+def _cell_of(p: int, hits: List[str], covered: bool, label: str, covered_set: str) -> Optional[str]:
+    """The one cell holding p, or None: p lies in exactly one cell when it
+    is in the covered set and in none otherwise."""
+    if len(hits) > 1:
+        raise InvariantError("%s cells overlap at p = %d: %s" % (label, p, hits))
+    if bool(hits) != covered:
+        raise InvariantError("%s does not match Gamma(%s) at p = %d" % (label, covered_set, p))
+    return hits[0] if hits else None
+
+
+def partition_six(x: GroupElement, window: PrimeWindow) -> SixPartition:
     """Partition Gamma(X**2) into the six translate intersections.
 
     Verifies, prime by prime, that the cells are disjoint, that they cover
@@ -242,26 +254,20 @@ def partition_six(x: GroupElement, window: PrimeWindow, processes: Optional[int]
     ctx = x.ctx
     c, w, v = class_c(ctx), class_w(t), class_v(t)
     elements = [x, c * x, w * x, v * x, x * x, c, w, v]
-    eligible, excluded = window_split(t, window)
-    flags = divisor_flags(elements, eligible, processes)
+    eligible, excluded, flags = sweep(elements, window)
 
     cells: Dict[str, List[int]] = {name: [] for name, _, _ in _SIX_CELLS}
     gamma_sq: List[int] = []
     guards = {"wx_vx": 5, "cx_wx": 7, "cx_vx": 6}  # C, V, W flag columns
     for p, row in zip(eligible, flags):
-        hits = [name for name, i, j in _SIX_CELLS if row[i] and row[j]]
-        in_sq = row[4]
-        if in_sq:
+        if row[4]:
             gamma_sq.append(p)
-        if len(hits) > 1:
-            raise InvariantError("partition cells overlap at p = %d: %s" % (p, hits))
-        if bool(hits) != in_sq:
-            raise InvariantError("partition does not match Gamma(X^2) at p = %d" % p)
-        if hits:
-            cells[hits[0]].append(p)
-            guard = guards.get(hits[0])
-            if guard is not None and not row[guard]:
-                raise InvariantError("subset relation fails at p = %d for cell %s" % (p, hits[0]))
+        hits = [name for name, i, j in _SIX_CELLS if row[i] and row[j]]
+        cell = _cell_of(p, hits, row[4], "partition", "X^2")
+        if cell is not None:
+            cells[cell].append(p)
+            if cell in guards and not row[guards[cell]]:
+                raise InvariantError("subset relation fails at p = %d for cell %s" % (p, cell))
     return SixPartition(
         t=t, window=window, eligible_count=len(eligible), excluded=tuple(excluded),
         cells={k: tuple(vv) for k, vv in cells.items()}, gamma_square=tuple(gamma_sq),
@@ -275,7 +281,7 @@ class CubicPartition(_Partition):
     gamma_s: Tuple[int, ...]
 
 
-def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[int] = None) -> CubicPartition:
+def cubic_partition(t: RationalLike, window: PrimeWindow) -> CubicPartition:
     """For cubic t, partition Gamma(S) into Gamma(WS), Gamma(Y), Gamma(WY).
 
     S = [2, t+f] is an order-3 class, so Gamma(S**2) = Gamma(S); the C/W/V
@@ -291,8 +297,7 @@ def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[in
     w = class_w(t)
     c = class_c(ctx)
     elements = [s, w * s, y, w * y, c * s]
-    eligible, excluded = window_split(t, window)
-    flags = divisor_flags(elements, eligible, processes)
+    eligible, excluded, flags = sweep(elements, window)
 
     cells: Dict[str, List[int]] = {"ws": [], "y": [], "wy": []}
     gamma_s: List[int] = []
@@ -303,12 +308,9 @@ def cubic_partition(t: RationalLike, window: PrimeWindow, processes: Optional[in
         if in_s:
             gamma_s.append(p)
         hits = [name for name, flag in (("ws", in_ws), ("y", in_y), ("wy", in_wy)) if flag]
-        if len(hits) > 1:
-            raise InvariantError("cubic partition cells overlap at p = %d: %s" % (p, hits))
-        if bool(hits) != in_s:
-            raise InvariantError("cubic partition does not match Gamma(S) at p = %d" % p)
-        if hits:
-            cells[hits[0]].append(p)
+        cell = _cell_of(p, hits, in_s, "cubic partition", "S")
+        if cell is not None:
+            cells[cell].append(p)
     return CubicPartition(
         t=t, window=window, eligible_count=len(eligible), excluded=tuple(excluded),
         cells={k: tuple(vv) for k, vv in cells.items()}, gamma_s=tuple(gamma_s),
@@ -409,7 +411,6 @@ def independence_report(
     x0: int,
     x1: int,
     window: PrimeWindow = PrimeWindow(),
-    processes: Union[int, Workers, None] = None,
     full: bool = False,
     reference: Optional[Tuple[float, float, float, float]] = None,
 ) -> DensityReport:
@@ -430,12 +431,11 @@ def independence_report(
     x = reduce_element(phi(seq))
     t = x.ctx.T
     wx = class_w(t) * x
-    eligible, excluded = window_split(t, window)
+    eligible, excluded, flags = sweep([x, wx], window)
     if not eligible:
         raise DegenerateParameterError(
             "no admissible prime in window %s:%d for t = %s" % (window.mode, window.size, t)
         )
-    flags = divisor_flags([x, wx], eligible, processes)
     hits_x = [p for p, row in zip(eligible, flags) if row[0]]
     hits_wx = [p for p, row in zip(eligible, flags) if row[1]]
     both = [p for p, row in zip(eligible, flags) if row[0] and row[1]]
@@ -456,15 +456,13 @@ def independence_report(
 
 
 def table3(
-    window: PrimeWindow = PrimeWindow(),
-    processes: Optional[int] = None,
-    full: bool = False,
+    window: PrimeWindow = PrimeWindow(), full: bool = False,
 ) -> List[DensityReport]:
     """Rerun all published independence rows over the given window; the
     rows share one worker pool, started by the first row that needs it."""
-    with Workers(processes) as workers:
+    with Workers():
         return [
-            independence_report(T, Q, x0, x1, window, workers, full, reference=ref)
+            independence_report(T, Q, x0, x1, window, full, reference=ref)
             for (T, Q, x0, x1, ref) in TABLE3_ROWS
         ]
 

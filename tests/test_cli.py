@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -223,15 +224,18 @@ def test_table3_json_output_hash(capsys, window):
 
 
 def test_parallel_below_the_pool_threshold_starts_no_pool(capsys, monkeypatch):
+    """Below POOL_MIN_PRIMES a sweep runs serially however many CPUs the
+    process may run on."""
     argv = ("table3", "--window", "first:1200", "--full", "--format", "json")
     serial = run(capsys, *argv)
 
     def no_pool(*args):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(lab, "Pool", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert 1200 < lab.POOL_MIN_PRIMES
-    assert run(capsys, *argv, "--parallel", "2") == serial
+    assert run(capsys, *argv) == serial
 
 
 def test_independence_json(capsys):
@@ -309,7 +313,7 @@ def test_window_caps_are_inclusive():
             PrimeWindow(mode, size)
 
 
-def test_argparse_rejections():
+def test_argparse_rejections(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["seq", "--t", "3", "--x", "1,1", "--range", "a..b"])
@@ -319,6 +323,10 @@ def test_argparse_rejections():
         parser.parse_args(["table3", "--convention", "maybe"])
     with pytest.raises(SystemExit):
         parser.parse_args(["no-such-command"])
+    with pytest.raises(SystemExit) as exc:  # sweeps choose their worker pool themselves
+        main(["divisors", "--t", "3", "--x", "1,4", "--parallel", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
 
 def test_seq_requires_context(capsys):
@@ -423,6 +431,26 @@ def test_every_subcommand_renders_every_format(capsys, command, fmt):
         assert out.strip()
         if fmt == "json":
             json.loads(out)
+
+
+@pytest.mark.parametrize("argv, row, message", [
+    (("--t", "3", "--x", "1,4"), (True,) * 8, "partition cells overlap at p = %d: ['x_cx', 'x_wx'"),
+    (("--t", "3", "--x", "1,4"), (False,) * 4 + (True,) + (False,) * 3,
+     "partition does not match Gamma(X^2) at p = %d\n"),
+    (("--t", "11/7", "--cubic"), (True, True, True, False, True),
+     "cubic partition cells overlap at p = %d: ['ws', 'y']\n"),
+    (("--t", "11/7", "--cubic"), (True, False, False, False, False),
+     "cubic partition does not match Gamma(S) at p = %d\n"),
+], ids=["six-overlap", "six-uncovered", "cubic-overlap", "cubic-uncovered"])
+def test_partition_cell_checks_exit_1(capsys, monkeypatch, argv, row, message):
+    """Both partitions check each prime's cell the same way: the first
+    window prime whose flags put it in two cells, or in a cell exactly when
+    it is outside the covered set, ends the call with exit 1."""
+    p = lab.window_split(Fraction(argv[1]), PrimeWindow("first", 10))[0][0]
+    monkeypatch.setattr(lab, "divisor_flags", lambda elements, primes: [row] * len(primes))
+    code, out, err = run(capsys, "partition", *argv, "--primes", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message % p)
 
 
 def test_only_invariant_errors_exit_1(capsys, monkeypatch):
@@ -587,7 +615,6 @@ def sweep_argv(draw):
     parts = [
         st.one_of(st.none(), _WINDOW),
         _optional("--format", st.sampled_from(["text", "json", "csv", "xml"])),
-        _optional("--parallel", st.sampled_from(["1", "0", "-2", "x"])),  # none starts a pool
     ]
     if command in ("independence", "table3"):
         parts += [st.sampled_from([None, "--full"]), _optional("--convention", st.sampled_from(["pi_t", "all"]))]

@@ -11,7 +11,7 @@ from seqlab import lab
 from seqlab.errors import DegenerateParameterError
 from seqlab.ring import ParamPair
 from seqlab.group import GroupElement, class_w
-from seqlab.modp import in_admissible_set, ord_companion
+from seqlab.modp import divisor_table, in_admissible_set, ord_companion
 from seqlab.transforms import is_simple
 from seqlab.lab import (
     CONVENTIONS,
@@ -83,40 +83,86 @@ def test_gamma_frozen():
     assert gamma(x, PrimeWindow("first", 30)) == (11, 19, 29, 31, 59, 71, 79, 101)
 
 
-def test_parallel_flags_match_serial():
+def _run_on_cpus(monkeypatch, cpus):
+    """Let this process run on `cpus` CPUs (the host counts 8) and return
+    the sizes of the pools that sweeps start from then on.  The pools are
+    held till the test ends, so only an explicit stop ends their workers."""
+    starts, pools = [], []
+    real_pool = multiprocessing.get_context().Pool
+
+    def counted_pool(n):
+        starts.append(n)
+        pools.append(real_pool(n))
+        return pools[-1]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    return starts
+
+
+def test_parallel_flags_match_serial(monkeypatch):
     t = F(3)
     ctx = ParamPair.one_param(t)
     xs = [GroupElement.from_pair(ctx, 1, 4), GroupElement.from_pair(ctx, 2, 3)]
     eligible, _ = window_split(t, PrimeWindow("first", 2600))
     assert len(eligible) >= lab.POOL_MIN_PRIMES  # so the pool runs
-    assert divisor_flags(xs, eligible, processes=2) == divisor_flags(xs, eligible)
+    starts = _run_on_cpus(monkeypatch, 2)
+    assert divisor_flags(xs, eligible) == divisor_table(xs, eligible)
+    assert starts == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_starts_no_pool(monkeypatch):
+    """The CPU count is the affinity mask's, not the host's: a process
+    pinned to one CPU of eight sweeps serially at any size."""
+    x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
+    eligible, _ = window_split(F(3), PrimeWindow("first", 2600))
+    starts = _run_on_cpus(monkeypatch, 1)
+    assert divisor_flags([x], eligible) == divisor_table([x], eligible)
+    assert starts == []
+
+
+_X3 = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda w: gamma(_X3, w),
+    lambda w: partition_six(_X3, w),
+    lambda w: cubic_partition(F(11, 7), w),
+    lambda w: independence_report(5, 3, 17, 11, w, full=True),
+], ids=["gamma", "partition_six", "cubic_partition", "independence_report"])
+def test_pooled_sweeps_match_serial_and_leave_no_worker(monkeypatch, sweep):
+    window = PrimeWindow("first", 2700)
+    serial_starts = _run_on_cpus(monkeypatch, 1)
+    serial = sweep(window)
+    assert serial_starts == []
+    starts = _run_on_cpus(monkeypatch, 2)
+    assert sweep(window) == serial
+    assert starts == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_table3_shares_one_pool_across_its_rows(monkeypatch):
     """Six rows, one pool start, closed before table3 returns, and the
     serial reports."""
     window = PrimeWindow("first", 3000)
+    serial_starts = _run_on_cpus(monkeypatch, 1)
     serial = table3(window, full=True)
-    starts = []
-    real_pool = lab.Pool
-
-    def counted_pool(*args, **kwargs):
-        starts.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(lab, "Pool", counted_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so one CPU does not cap the pool at 1
+    assert serial_starts == []
     assert min(rep.eligible_count for rep in serial) >= lab.POOL_MIN_PRIMES  # so every row pools
-    assert table3(window, processes=2, full=True) == serial
-    assert starts == [(2,)]
+    starts = _run_on_cpus(monkeypatch, 2)
+    assert table3(window, full=True) == serial
+    assert starts == [2]
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus, expect", [(None, 1), (1, 1), (3, 3), (8, 8)])
 def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
-    """A pool asked for 10**6 workers gets the CPU count, and the chunks are
-    sized for the capped count.  The pool here is a stand-in that runs the
-    jobs in-process, so no worker process is started."""
+    """Where the platform has no affinity mask, the pool has os.cpu_count()
+    workers (one when it is unknown), and the chunks are sized for that
+    count.  The pool here is a stand-in that runs the jobs in-process, so
+    no worker process is started."""
     sizes, chunks = [], []
 
     class FakePool:
@@ -130,14 +176,14 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
         def terminate(self):
             pass
 
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(lab, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
     eligible, _ = window_split(F(3), PrimeWindow("first", 2600))
-    assert lab.Workers(10**6).processes == expect
-    assert divisor_flags([x], eligible, processes=10**6) == divisor_flags([x], eligible)
+    assert divisor_flags([x], eligible) == divisor_table([x], eligible)
     if expect == 1:
-        assert sizes == [] and chunks == []  # one worker runs serially
+        assert sizes == [] and chunks == []  # one CPU runs serially
     else:
         assert sizes == [expect]
         assert chunks[0] == max(32, len(eligible) // (4 * expect)) and sum(chunks) == len(eligible)
@@ -249,7 +295,7 @@ def test_independence_report_split_matches_closed_form(monkeypatch):
     Q < 0 included."""
     seen = []
 
-    def record(elements, primes, processes=None):
+    def record(elements, primes):
         seen.append(tuple(elements))
         return [(False,) * len(elements) for _ in primes]
 

@@ -8,6 +8,7 @@ multiplied as 2-vectors by square-and-multiply, which shares nothing with
 the layer's Lucas ladder.
 """
 
+import multiprocessing
 import os
 import random
 from fractions import Fraction
@@ -409,11 +410,21 @@ def test_divisor_flags_parallel_equals_serial(monkeypatch):
     elements = random_classes(random.Random(7), t, 3)
     primes = [p for p in odd_primes_below(25_000) if in_admissible_set(t, p)]
     assert len(primes) >= lab.POOL_MIN_PRIMES  # below that the serial path runs
-    started = []
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so one CPU does not cap the pool at 1
-    monkeypatch.setattr(lab, "Pool", lambda n, real=lab.Pool: started.append(n) or real(n))
-    assert divisor_flags(elements, primes, processes=2) == divisor_flags(elements, primes)
-    assert started == [2]
+    # four CPUs to run on, so a one-CPU runner still pools; the pool is held
+    # here, so only an explicit stop ends its workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    started, pools = [], []
+    real_pool = multiprocessing.get_context().Pool
+
+    def counted_pool(n):
+        started.append(n)
+        pools.append(real_pool(n))
+        return pools[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    assert divisor_flags(elements, primes) == divisor_table(elements, primes)
+    assert started == [4]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
