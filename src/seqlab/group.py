@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from . import primes as _primes
-from .errors import ContextMismatchError, DegenerateParameterError, SingularElementError
+from .errors import ContextMismatchError, DegenerateParameterError, InvariantError, SingularElementError
 from .rational import divisors, iroot, is_rational_square, rational_sqrt
 from .ring import ParamPair, RationalLike, RingElement, binpow, _frac
 from .transforms import check_parameter, classify_cyclotomic
@@ -152,7 +152,8 @@ def group_sqrt(y: GroupElement) -> Tuple[GroupElement, ...]:
         if cand == (0, 0):
             cand = (y1 - eps, T * y1 - Q * y0)
         roots.append(GroupElement.from_pair(y.ctx, *cand))
-    assert roots[0] != roots[1], "square roots must differ by the order-2 class"
+    if roots[0] == roots[1]:
+        raise InvariantError("square roots of %r must differ by the order-2 class" % (y,))
     return tuple(roots)
 
 

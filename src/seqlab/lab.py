@@ -11,13 +11,16 @@ kept in TABLE3_ROWS.
 Densities come in two conventions, because "share of the first 1200 primes"
 can count the window primes outside the admissible set in the denominator
 ("all") or drop them ("pi_t"); both are computed everywhere.
+
+Long sweeps run on a pool of worker processes that `_pooled` starts and
+stops: `divisor_flags` hands it chunks of one sweep, `table3` whole rows.
+A pool worker's own sweeps run serially (see `_cpus`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -81,9 +84,13 @@ class PrimeWindow:
 
     @cached_property
     def _sieved(self) -> Tuple[int, ...]:
-        # one sieve per window object, so the sweeps of one table3 share it
+        # one sieve per window object, shared by every sweep made with it
         sieve = first_odd_primes if self.mode == "first" else odd_primes_below
         return tuple(sieve(self.size))
+
+    def __reduce__(self):
+        # it crosses a process boundary as mode and size: no cached primes
+        return PrimeWindow, (self.mode, self.size)
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "size": self.size}
@@ -103,62 +110,47 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     return eligible, excluded
 
 
-# Sweeps of fewer primes than this run serially: starting a pool eats what
-# it saves there.  On 2 vCPUs, a `table3 --full --format json` call (a
-# fresh interpreter, medians of 7 interleaved runs, the pool forced on at
-# every size) took 0.42 s serially against 0.42 s on a 2-worker pool at
-# first:1800, 0.47 s against 0.53 s at first:2500, 0.87 s against 0.70 s
-# at first:5000 and 2.18 s against 1.32 s at first:10000.
+# Sweeps of fewer primes than this run serially, and so does table3 over a
+# window of fewer primes: starting a pool eats what it saves there.  On 2
+# vCPUs, a `table3 --full --format json` call (a fresh interpreter, medians
+# of 9 to 21 interleaved runs) took 0.43 s serially against 0.46 s with its
+# rows on a 2-worker pool at first:1800, 0.45 s against 0.42 s at
+# first:2500, 0.83 s against 0.58 s at first:5000 and 1.69 s against 1.19 s
+# at first:10000.
 POOL_MIN_PRIMES = 2500
 
 
-_outermost: ContextVar[Optional["Workers"]] = ContextVar("seqlab_workers", default=None)
+def _cpus() -> int:
+    """The CPUs a pool may use: the affinity mask's where there is one, else
+    the host's; one in a daemonic process, which may not start processes."""
+    if multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class Workers:
-    """The scope of one worker pool: the first sweep in the block that needs
-    a pool starts it, every later sweep in the block shares it, and the
-    block's end stops it.  An inner block joins the outermost one, so
-
-        with Workers():
-            reports = [independence_report(...) for ...]
-
-    starts at most one pool for all its sweeps.
-    """
-
-    def __init__(self) -> None:
-        self.pool = None
-
-    def __enter__(self) -> "Workers":
-        if _outermost.get() is None:
-            _outermost.set(self)
-        return _outermost.get()
-
-    def __exit__(self, *exc) -> None:
-        if _outermost.get() is self:
-            _outermost.set(None)
-            if self.pool is not None:
-                self.pool.terminate()
+def _pooled(func, jobs: list, workers: int) -> list:
+    """[func(*job) for job in jobs] on a pool that is stopped before this returns."""
+    pool = multiprocessing.Pool(workers)
+    try:
+        return pool.starmap(func, jobs)
+    finally:
+        pool.terminate()
 
 
 def divisor_flags(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """Per-prime divisor membership for each element, in window order.
 
-    With at least POOL_MIN_PRIMES primes and more than one CPU to run on,
-    the prime list is chunked across a pool of one worker per CPU; chunk
-    results are merged in order, so the output is identical to the serial
-    run.  The CPUs are those of the process's affinity mask where the
-    platform has one, as `os.cpu_count()` counts every CPU of the host.
+    With at least POOL_MIN_PRIMES primes and more than one CPU to run on
+    (see `_cpus`), the prime list is chunked across a pool of one worker
+    per CPU; chunk results are merged in order, so the output is identical
+    to the serial run.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = _cpus()
     if cpus == 1 or len(primes) < POOL_MIN_PRIMES:
         return divisor_table(elements, primes)
     chunk = max(32, len(primes) // (4 * cpus))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
-    with Workers() as workers:
-        if workers.pool is None:
-            workers.pool = multiprocessing.Pool(cpus)
-        return [row for part in workers.pool.starmap(divisor_table, jobs) for row in part]
+    return [row for part in _pooled(divisor_table, jobs, cpus) for row in part]
 
 
 def _one_param_t_of(x: GroupElement) -> Fraction:
@@ -458,13 +450,14 @@ def independence_report(
 def table3(
     window: PrimeWindow = PrimeWindow(), full: bool = False,
 ) -> List[DensityReport]:
-    """Rerun all published independence rows over the given window; the
-    rows share one worker pool, started by the first row that needs it."""
-    with Workers():
-        return [
-            independence_report(T, Q, x0, x1, window, full, reference=ref)
-            for (T, Q, x0, x1, ref) in TABLE3_ROWS
-        ]
+    """Rerun all published independence rows over the given window; from
+    POOL_MIN_PRIMES window primes up, on more than one CPU, one pool runs
+    the rows side by side, each worker sweeping its rows serially."""
+    jobs = [(T, Q, x0, x1, window, full, ref) for (T, Q, x0, x1, ref) in TABLE3_ROWS]
+    cpus = _cpus()
+    if cpus == 1 or len(window.primes()) < POOL_MIN_PRIMES:
+        return [independence_report(*job) for job in jobs]
+    return _pooled(independence_report, jobs, min(cpus, len(jobs)))
 
 
 def reference_deviation(report: DensityReport, convention: str) -> float:

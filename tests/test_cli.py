@@ -88,6 +88,17 @@ def test_sqrt_roots_and_empty(capsys):
     assert "no square roots" in out
 
 
+def test_sqrt_invariant_failure_exits_1(capsys, monkeypatch):
+    """Two coinciding square roots break the order-2 rule: a raise, not an
+    assert, so the check holds under `python -O` too, and the CLI exits 1
+    with an error line, never a traceback."""
+    monkeypatch.setattr(seqlab.group, "rational_sqrt", lambda d: Fraction(0))
+    code, out, err = run(capsys, "sqrt", "--t", "3", "--x", "1,4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_laxton_eq(capsys):
     # (25, 66) is the second shift of (2, 9) at t = 3
     code, out, _ = run(capsys, "laxton-eq", "--t", "3", "--x", "2,9", "--y", "25,66")
@@ -609,6 +620,17 @@ def _optional(name, values):
     return st.one_of(st.none(), st.tuples(st.just(name), values))
 
 
+def _assemble(draw, command, parts):
+    argv = command.split()
+    for part in parts:
+        value = draw(part)
+        if isinstance(value, tuple):
+            argv += list(value)
+        elif value is not None:
+            argv.append(value)
+    return argv
+
+
 @st.composite
 def sweep_argv(draw):
     command = draw(st.sampled_from(["divisors", "partition", "partition --cubic", "independence", "table3"]))
@@ -628,19 +650,30 @@ def sweep_argv(draw):
         parts += [st.tuples(st.just("--t"), _VALUE), _optional("--x", _PAIR)]
     elif command != "table3":
         parts += [st.tuples(st.just("--t"), _VALUE), st.tuples(st.just("--x"), _PAIR)]
-    argv = command.split()
-    for part in parts:
-        value = draw(part)
-        if isinstance(value, tuple):
-            argv += list(value)
-        elif value is not None:
-            argv.append(value)
-    return argv
+    return _assemble(draw, command, parts)
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(sweep_argv())
-def test_sweep_grammar_fuzz(argv):
+@st.composite
+def group_argv(draw):
+    """sqrt and laxton-eq over --t, or --T with --Q, or a context that is
+    missing a part or given twice."""
+    command = draw(st.sampled_from(["sqrt", "laxton-eq"]))
+    parts = [
+        st.one_of(
+            st.tuples(st.just("--t"), _VALUE),
+            st.tuples(st.just("--T"), _VALUE, st.just("--Q"), _Q_VALUE),
+            st.lists(st.sampled_from([("--t", "3"), ("--T", "5"), ("--Q", "3")]), max_size=3).map(
+                lambda flags: sum(flags, ())),
+        ),
+        st.tuples(st.just("--x"), _PAIR),
+        _optional("--format", st.sampled_from(["text", "json", "csv", "xml"])),
+    ]
+    if command == "laxton-eq":
+        parts.append(st.tuples(st.just("--y"), _PAIR))
+    return _assemble(draw, command, parts)
+
+
+def _check_exit_contract(argv, codes):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -649,7 +682,19 @@ def test_sweep_grammar_fuzz(argv):
         except SystemExit as exc:  # argparse rejections
             code = exc.code
     elapsed = time.perf_counter() - start
-    assert code in (0, 2), (argv, code, err.getvalue())
+    assert code in codes, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert (code == 2) == err.getvalue().startswith(("error:", "usage:")), (argv, err.getvalue())
+    assert (code != 0) == err.getvalue().startswith(("error:", "usage:")), (argv, err.getvalue())
     assert elapsed < 10, (argv, elapsed)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sweep_argv())
+def test_sweep_grammar_fuzz(argv):
+    _check_exit_contract(argv, (0, 2))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_argv())
+def test_group_grammar_fuzz(argv):
+    _check_exit_contract(argv, (0, 1, 2))

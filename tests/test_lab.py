@@ -143,6 +143,22 @@ def test_pooled_sweeps_match_serial_and_leave_no_worker(monkeypatch, sweep):
     assert multiprocessing.active_children() == []
 
 
+def test_a_sweep_inside_a_pool_worker_runs_serially(monkeypatch):
+    """A pool worker may not start processes, so a long sweep run inside
+    one runs serially, though the affinity mask it inherits through fork
+    offers two CPUs."""
+    window = PrimeWindow("first", 3000)
+    assert len(window_split(F(3), window)[0]) >= lab.POOL_MIN_PRIMES  # so it would pool
+    _run_on_cpus(monkeypatch, 1)
+    serial = gamma(_X3, window)
+    _run_on_cpus(monkeypatch, 2)
+    pool = multiprocessing.get_context().Pool(1)
+    try:
+        assert pool.apply(gamma, (_X3, window)) == serial
+    finally:
+        pool.terminate()
+
+
 def test_table3_shares_one_pool_across_its_rows(monkeypatch):
     """Six rows, one pool start, closed before table3 returns, and the
     serial reports."""

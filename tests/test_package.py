@@ -1,10 +1,13 @@
 """The package surface: what `seqlab` exports, and where its modules import."""
 
 import ast
+import multiprocessing
 import os
+import pickle
 import types
 
 import seqlab
+from seqlab import lab
 
 SRC = os.path.dirname(seqlab.__file__)
 
@@ -73,3 +76,42 @@ def test_no_unused_import():
                 names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 found += ["%s:%s" % (fname, name) for name in names if name not in used]
     assert found == []
+
+
+def test_one_pool_start():
+    """Every worker pool starts in one place: src/ calls multiprocessing.Pool
+    once, in lab, under any spelling of the call."""
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read(), fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                found += ["%s:%d" % (fname, node.lineno)] if name == "Pool" else []
+    assert len(found) == 1 and found[0].startswith("lab.py:"), found
+
+
+def test_a_window_pickles_as_its_mode_and_size():
+    window = lab.PrimeWindow("below", 5000)
+    primes = window.primes()
+    copy = pickle.loads(pickle.dumps(window))
+    assert copy == window
+    assert "_sieved" not in vars(copy)
+    assert copy.primes() == primes
+
+
+def test_pooled_table3_reports_carry_no_window_primes(monkeypatch):
+    """The rows run on a pool, and the reports sent back hold their window
+    as its mode and size, not a copy of its primes."""
+    window = lab.PrimeWindow("first", lab.POOL_MIN_PRIMES)
+    starts, real_pool = [], multiprocessing.get_context().Pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", lambda n: starts.append(n) or real_pool(n))
+    reports = lab.table3(window)
+    assert starts == [2]
+    for rep in reports:
+        assert rep.window == window
+        assert "_sieved" not in vars(rep.window)
