@@ -105,18 +105,20 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     t = _frac(t)
     modulus = exclusion_modulus(t.numerator, t.denominator)
     eligible, excluded = [], []
-    for p in window.primes():
+    for p in window._sieved:
         (eligible if modulus % p else excluded).append(p)
     return eligible, excluded
 
 
 # Sweeps of fewer primes than this run serially, and so does table3 over a
 # window of fewer primes: starting a pool eats what it saves there.  On 2
-# vCPUs, a `table3 --full --format json` call (a fresh interpreter, medians
-# of 9 to 21 interleaved runs) took 0.43 s serially against 0.46 s with its
-# rows on a 2-worker pool at first:1800, 0.45 s against 0.42 s at
-# first:2500, 0.83 s against 0.58 s at first:5000 and 1.69 s against 1.19 s
-# at first:10000.
+# vCPUs, a `table3 --full --format json` process (medians of 21 interleaved
+# runs) took 0.36 s serially against 0.31 s with its rows on a 2-worker pool
+# at first:1800, 0.48 s against 0.36 s at first:2500, 0.79 s against 0.54 s
+# at first:5000 and 1.44 s against 0.98 s at first:10000.  In another run
+# of 15 pairs the pool lost 13 at first:1800 and at first:2500, and a
+# one-element `divisors` sweep ran slower on its chunk pool even at
+# first:10000 (0.43 s against 0.38 s), so the bound stays at 2 500.
 POOL_MIN_PRIMES = 2500
 
 
@@ -455,7 +457,7 @@ def table3(
     the rows side by side, each worker sweeping its rows serially."""
     jobs = [(T, Q, x0, x1, window, full, ref) for (T, Q, x0, x1, ref) in TABLE3_ROWS]
     cpus = _cpus()
-    if cpus == 1 or len(window.primes()) < POOL_MIN_PRIMES:
+    if cpus == 1 or len(window._sieved) < POOL_MIN_PRIMES:
         return [independence_report(*job) for job in jobs]
     return _pooled(independence_report, jobs, min(cpus, len(jobs)))
 

@@ -25,8 +25,12 @@ ladder: two modular products per bit and no inverses (Montgomery 1992,
 chains"; Joye and Quisquater 1996, "Efficient computation of full Lucas
 sequences").  Every order comes from one descent over the factors of N, the
 least m | N with V_m(s) = 2; V_q(V_n(s)) = V_qn(s) lets each step go on from
-the last value.  m = ord_p(D) is found once per (t, p), and N's factors
-come from primes.factorize, which reads them off the window's sieve.
+the last value.  N's factors come from primes.factorize, which reads them
+off the window's sieve.  m = ord_p(D) is found once per (t, p), the first
+time a residue class on the row needs it, and its descent starts from N/2:
+<D> lies in G**2 (below), a subgroup of order N/2 of the cyclic G, so m
+divides N/2.  When N = 2 mod 4 that drops the one full-length ladder on
+q = 2, whose answer is known.
 
 The index k = N/m of <D> in G is always even, and Euler's criterion on det
 decides membership in the squares G**2.  X -> z maps G onto a cyclic group
@@ -99,16 +103,24 @@ class ModpContext:
 # Integer keys, so no Fraction is hashed; 1 << 14 rows hold a table3 window
 # (6 x <= 1 232 rows) and an explore pass (about 8 900 rows) for a re-run.
 @lru_cache(maxsize=1 << 14)
-def _row(num: int, den: int, p: int) -> Tuple[int, int, int]:
-    """(t_p, N - p, k) for t = num/den in lowest terms, after checking that
-    p is admissible for t.  N - p = +-1 and, on almost every row, the index
-    k = N/ord_p(D) are small ints that Python shares, so a cached row owns
-    no int but t_p."""
+def _row(num: int, den: int, p: int) -> List[int]:
+    """[t_p, N - p, k] for t = num/den in lowest terms, after checking that
+    p is admissible for t.  The index k = N/ord_p(D) is 0 until `_index`
+    finds it, which it stores in this cached list, so the descent runs at
+    most once per cached row.  N - p = +-1 and, on almost every row, k are
+    small ints that Python shares, so a cached row owns no int but t_p."""
     if not _admissible(num, den, p):
         raise ExcludedPrimeError("p = %d is not admissible for t = %s" % (p, Fraction(num, den)))
     t_p = num * pow(den, -1, p) % p
-    n = p - 1 if _is_residue(t_p * t_p - 4, p) else p + 1
-    return t_p, n - p, n // _order((t_p * t_p - 2) % p, p, n)
+    return [t_p, -1 if _is_residue(t_p * t_p - 4, p) else 1, 0]
+
+
+def _index(row: List[int], p: int) -> int:
+    """Find the index k of <D> in G on the row by the order descent, and
+    store it there; callers read row[2] first.  ord_p(D) divides N/2."""
+    half = (p + row[1]) >> 1
+    row[2] = k = 2 * half // _order((row[0] * row[0] - 2) % p, p, half)
+    return k
 
 
 def _is_residue(x: int, p: int) -> bool:
@@ -153,8 +165,9 @@ def _class_s(t_p: int, p: int, a0: int, a1: int, det: int) -> int:
 
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = check_parameter(_frac(t))
-    t_p, e, k = _row(t.numerator, t.denominator, p)
-    return ModpContext(t=t, p=p, t_p=t_p, group_order=p + e, companion_order=(p + e) // k)
+    row = _row(t.numerator, t.denominator, p)
+    n, k = p + row[1], row[2] or _index(row, p)
+    return ModpContext(t=t, p=p, t_p=row[0], group_order=n, companion_order=n // k)
 
 
 @dataclass(frozen=True)
@@ -201,22 +214,25 @@ def xi(t: RationalLike, p: int) -> int:
     return _order(ctx.t_p, p, ctx.group_order)
 
 
-def _divides(t_p: int, e: int, k: int, p: int, a0: int, a1: int) -> bool:
+def _divides(row: List[int], p: int, a0: int, a1: int) -> bool:
     """Whether the class (a0, a1) is nonsingular mod p and x**m is a scalar
-    for m = ord_p(D), on the row (t_p, N - p, k): Euler's criterion on det,
-    then the ladder only when the index k is 4 or more."""
+    for m = ord_p(D), on the row [t_p, N - p, k]: Euler's criterion on det,
+    then the index k, and the ladder only when k is 4 or more."""
+    t_p = row[0]
     det = _det(t_p, p, a0, a1)
     if not _is_residue(det, p):
         return False
-    return k == 2 or _lucas_v(_class_s(t_p, p, a0, a1, det), p, (p + e) // k) == 2
+    k = row[2] or _index(row, p)
+    return k == 2 or _lucas_v(_class_s(t_p, p, a0, a1, det), p, (p + row[1]) // k) == 2
 
 
 def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """is_divisor(x, p) for each element x, one row per prime p.
 
-    Each row looks up (t_p, N - p, k) once per distinct t; each element then
+    Each row looks up [t_p, N - p, k] once per distinct t; each element then
     costs one builtin pow, and a ladder only when det is a residue and the
-    index k is 4 or more.
+    index k is 4 or more.  A row finds k only when one of its classes has a
+    residue det, so a row none of whose classes does runs no descent.
     """
     params: Dict[Fraction, int] = {}
     columns = []
@@ -228,7 +244,7 @@ def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> Li
     table = []
     for p in primes:
         rows = [_row(num, den, p) for num, den in keys]
-        table.append(tuple([_divides(*rows[i], p, a0, a1) for i, a0, a1 in columns]))
+        table.append(tuple([_divides(rows[i], p, a0, a1) for i, a0, a1 in columns]))
     return table
 
 

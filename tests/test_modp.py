@@ -539,6 +539,51 @@ def test_index_of_companion_subgroup_is_even(kind):
     assert seen == {2, 4}
 
 
+@pytest.mark.parametrize("kind", ["integer", "fractional", "circular", "cubic"])
+def test_lazy_index_matches_full_descent(kind):
+    """On 300 seeded fresh rows per kind, p < 5000, the index k that a row
+    finds on demand, from a descent over N/2, equals N // ord_p(D) from the
+    descent over all of N.  Rows with N = 0 mod 4 occur, and so do rows
+    with N = 2 mod 4 except for circular t: there t**2 - 4 is -1 times a
+    square, so N = p - 1 exactly when p = 1 mod 4 and N = 0 mod 4 always."""
+    rng = random.Random(0x1A2 + len(kind))
+    primes = odd_primes_below(5000)
+    residues = set()
+    for _ in range(300):
+        while True:
+            t, p = random_parameter(rng, kind), rng.choice(primes)
+            if t not in (0, 1, -1, 2, -2) and in_admissible_set(t, p):
+                break
+        row = modp._row.__wrapped__(t.numerator, t.denominator, p)
+        assert row[2] == 0
+        t_p, n = row[0], p + row[1]
+        eager = n // modp._order((t_p * t_p - 2) % p, p, n)
+        assert modp._index(row, p) == row[2] == eager, (t, p)
+        residues.add(n % 4)
+    assert residues == ({0} if kind == "circular" else {0, 2})
+
+
+def test_rows_find_the_index_only_for_a_residue_class(monkeypatch):
+    """A sweep runs the order descent only on rows where some class has a
+    nonzero residue det, once each; an identical second sweep runs none."""
+    descents = []
+    real_order = modp._order
+    monkeypatch.setattr(modp, "_order", lambda s, p, n: descents.append(p) or real_order(s, p, n))
+    modp._row.cache_clear()
+    t = F(19, 3)
+    elements = random_classes(random.Random(17), t, 2)
+    primes = [p for p in odd_primes_below(5000) if in_admissible_set(t, p)]
+    tp = {p: t_mod_p(t, p) for p in primes}
+    needed = [p for p in primes
+              if any(pow(x.a1 * x.a1 - tp[p] * x.a0 * x.a1 + x.a0 * x.a0, (p - 1) // 2, p) == 1
+                     for x in elements)]
+    table = divisor_table(elements, primes)
+    assert descents == needed and 0 < len(needed) < len(primes) - 100
+    descents.clear()
+    assert divisor_table(elements, primes) == table
+    assert descents == []
+
+
 @pytest.mark.parametrize("t", [F(3), F(19, 3), F(-6, 5), F(11, 7)])
 def test_gate_matches_ladder_reference_on_every_class(t):
     """Every class (a0, a1) mod p for every admissible p < 60: the kernel
