@@ -113,13 +113,14 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
 # Sweeps of fewer primes than this run serially, and so does table3 over a
 # window of fewer primes: starting a pool eats what it saves there.  On 2
 # vCPUs, a `table3 --full --format json` process (medians of 21 interleaved
-# runs) took 0.36 s serially against 0.31 s with its rows on a 2-worker pool
-# at first:1800, 0.48 s against 0.36 s at first:2500, 0.79 s against 0.54 s
-# at first:5000 and 1.44 s against 0.98 s at first:10000.  In another run
-# of 15 pairs the pool lost 13 at first:1800 and at first:2500, and a
-# one-element `divisors` sweep ran slower on its chunk pool even at
-# first:10000 (0.43 s against 0.38 s), so the bound stays at 2 500.
-POOL_MIN_PRIMES = 2500
+# pairs, serial against its rows on a 2-worker pool) took 0.25 s serially
+# against 0.27 s on the pool at first:2500, where the pool won 1, 4 and 5
+# pairs of 21 in three runs; 0.33 s against 0.34 s at first:3000 (won 5, 10
+# and 20 of 21); 0.39 s against 0.31 s at first:3500 and 0.43 s against
+# 0.32 s at first:4000 (won 20 or 21 of 21 in two runs each).  A one-element
+# `divisors` sweep ran slower on its chunk pool even at first:10000 (0.43 s
+# against 0.38 s).
+POOL_MIN_PRIMES = 3500
 
 
 def _cpus() -> int:

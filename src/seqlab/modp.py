@@ -24,13 +24,15 @@ ladder: two modular products per bit and no inverses (Montgomery 1992,
 "Evaluating recurrences of form X_{m+n} = f(X_m, X_n, X_{m-n}) via Lucas
 chains"; Joye and Quisquater 1996, "Efficient computation of full Lucas
 sequences").  Every order comes from one descent over the factors of N, the
-least m | N with V_m(s) = 2; V_q(V_n(s)) = V_qn(s) lets each step go on from
-the last value.  N's factors come from primes.factorize, which reads them
-off the window's sieve.  m = ord_p(D) is found once per (t, p), the first
+least m | N with V_m(s) = 2.  It works top down (Cohen 1993, "A Course in
+Computational Algebraic Number Theory", 1.4): for each prime q | N it
+divides m by q while V_{m/q}(s) = 2, so a prime the order keeps whole costs
+one ladder.  N's factors come from primes.factorize, which reads them off
+the window's sieve.  m = ord_p(D) is found once per (t, p), the first
 time a residue class on the row needs it, and its descent starts from N/2:
 <D> lies in G**2 (below), a subgroup of order N/2 of the cyclic G, so m
-divides N/2.  When N = 2 mod 4 that drops the one full-length ladder on
-q = 2, whose answer is known.
+divides N/2.  That drops the first ladder of a descent over N, the one on
+N/2, whose answer is known.
 
 The index k = N/m of <D> in G is always even, and Euler's criterion on det
 decides membership in the squares G**2.  X -> z maps G onto a cyclic group
@@ -141,15 +143,13 @@ def _lucas_v(s: int, p: int, n: int) -> int:
 
 def _order(s: int, p: int, n: int) -> int:
     """The least m | n with V_m(s) = 2: the order of a class with that s in
-    the group of order n.  Strip each prime power q**e off n, then put back
-    the factors q the class still needs."""
+    the group of order n.  For each prime power q**e of n, divide m by q
+    while that leaves V_m(s) = 2, at most e times."""
     m = n
     for q, e in _primes.factorize(n).items():
-        m //= q ** e
-        v = _lucas_v(s, p, m)
-        while v != 2:
-            v = _lucas_v(v, p, q)
-            m *= q
+        while e and _lucas_v(s, p, m // q) == 2:
+            m //= q
+            e -= 1
     return m
 
 
@@ -163,9 +163,16 @@ def _class_s(t_p: int, p: int, a0: int, a1: int, det: int) -> int:
     return (tr * tr * pow(det, -1, p) - 2) % p
 
 
+def _checked_row(t: RationalLike, p: int) -> List[int]:
+    """The row [t_p, N - p, k] of t at p, after rejecting a degenerate t;
+    k may still be 0."""
+    t = check_parameter(t)
+    return _row(t.numerator, t.denominator, p)
+
+
 def modp_context(t: RationalLike, p: int) -> ModpContext:
-    t = check_parameter(_frac(t))
-    row = _row(t.numerator, t.denominator, p)
+    t = _frac(t)
+    row = _checked_row(t, p)
     n, k = p + row[1], row[2] or _index(row, p)
     return ModpContext(t=t, p=p, t_p=row[0], group_order=n, companion_order=n // k)
 
@@ -210,8 +217,8 @@ def xi(t: RationalLike, p: int) -> int:
     ord_p(D) equals xi when xi is odd and xi/2 when xi is even (W**2 is the
     D**-1 class).
     """
-    ctx = modp_context(t, p)
-    return _order(ctx.t_p, p, ctx.group_order)
+    row = _checked_row(t, p)
+    return _order(row[0], p, p + row[1])
 
 
 def _divides(row: List[int], p: int, a0: int, a1: int) -> bool:
@@ -278,5 +285,4 @@ def qr_filter(x: GroupElement, p: int) -> bool:
     """
     if not x.ctx.is_one_param:
         raise ExcludedPrimeError("QR filter takes one-parameter classes")
-    ctx = modp_context(x.ctx.T, p)
-    return _is_residue(_det(ctx.t_p, p, x.a0, x.a1), p)
+    return _is_residue(_det(_checked_row(x.ctx.T, p)[0], p, x.a0, x.a1), p)

@@ -224,8 +224,9 @@ def test_table3_full_window_silent(capsys):
 TABLE3_JSON_SHA256 = {
     "first:1200": "dc6885b800942806ff974027080c8d1d1b2dbfc3729bbe28b96d20db8ccceadd",
     "below:3000": "9f966bf32ed21f8cd2fe9ca0bc08a2f7fda225cae4b669dfdabff75447671276",
-    # 3 245 primes: from POOL_MIN_PRIMES up, on more than one CPU, the rows run on the pool
     "below:30000": "4d8f6f6ae2abd9b823874c303a489c1258ea3b1662125873732135d8fa0b740e",
+    # 3 731 primes: from POOL_MIN_PRIMES up, on more than one CPU, the rows run on the pool
+    "below:35000": "1adaa6ced48c35505aab31ddfba0b681d472be13c2c61fbaf4be49b008ada0fe",
 }
 
 

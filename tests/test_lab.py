@@ -105,7 +105,7 @@ def test_parallel_flags_match_serial(monkeypatch):
     t = F(3)
     ctx = ParamPair.one_param(t)
     xs = [GroupElement.from_pair(ctx, 1, 4), GroupElement.from_pair(ctx, 2, 3)]
-    eligible, _ = window_split(t, PrimeWindow("first", 2600))
+    eligible, _ = window_split(t, PrimeWindow("first", 3600))
     assert len(eligible) >= lab.POOL_MIN_PRIMES  # so the pool runs
     starts = _run_on_cpus(monkeypatch, 2)
     assert divisor_flags(xs, eligible) == divisor_table(xs, eligible)
@@ -117,7 +117,7 @@ def test_one_cpu_starts_no_pool(monkeypatch):
     """The CPU count is the affinity mask's, not the host's: a process
     pinned to one CPU of eight sweeps serially at any size."""
     x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
-    eligible, _ = window_split(F(3), PrimeWindow("first", 2600))
+    eligible, _ = window_split(F(3), PrimeWindow("first", 3600))
     starts = _run_on_cpus(monkeypatch, 1)
     assert divisor_flags([x], eligible) == divisor_table([x], eligible)
     assert starts == []
@@ -133,7 +133,7 @@ _X3 = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
     lambda w: independence_report(5, 3, 17, 11, w, full=True),
 ], ids=["gamma", "partition_six", "cubic_partition", "independence_report"])
 def test_pooled_sweeps_match_serial_and_leave_no_worker(monkeypatch, sweep):
-    window = PrimeWindow("first", 2700)
+    window = PrimeWindow("first", 3600)
     serial_starts = _run_on_cpus(monkeypatch, 1)
     serial = sweep(window)
     assert serial_starts == []
@@ -147,7 +147,7 @@ def test_a_sweep_inside_a_pool_worker_runs_serially(monkeypatch):
     """A pool worker may not start processes, so a long sweep run inside
     one runs serially, though the affinity mask it inherits through fork
     offers two CPUs."""
-    window = PrimeWindow("first", 3000)
+    window = PrimeWindow("first", 3600)
     assert len(window_split(F(3), window)[0]) >= lab.POOL_MIN_PRIMES  # so it would pool
     _run_on_cpus(monkeypatch, 1)
     serial = gamma(_X3, window)
@@ -162,7 +162,7 @@ def test_a_sweep_inside_a_pool_worker_runs_serially(monkeypatch):
 def test_table3_shares_one_pool_across_its_rows(monkeypatch):
     """Six rows, one pool start, closed before table3 returns, and the
     serial reports."""
-    window = PrimeWindow("first", 3000)
+    window = PrimeWindow("first", 3600)
     serial_starts = _run_on_cpus(monkeypatch, 1)
     serial = table3(window, full=True)
     assert serial_starts == []
@@ -196,7 +196,7 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
-    eligible, _ = window_split(F(3), PrimeWindow("first", 2600))
+    eligible, _ = window_split(F(3), PrimeWindow("first", 3600))
     assert divisor_flags([x], eligible) == divisor_table([x], eligible)
     if expect == 1:
         assert sizes == [] and chunks == []  # one CPU runs serially

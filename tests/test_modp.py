@@ -8,6 +8,7 @@ multiplied as 2-vectors by square-and-multiply, which shares nothing with
 the layer's Lucas ladder.
 """
 
+import itertools
 import multiprocessing
 import os
 import random
@@ -408,7 +409,7 @@ def test_kernel_rejects_excluded_primes():
 def test_divisor_flags_parallel_equals_serial(monkeypatch):
     t = F(19, 3)
     elements = random_classes(random.Random(7), t, 3)
-    primes = [p for p in odd_primes_below(25_000) if in_admissible_set(t, p)]
+    primes = [p for p in odd_primes_below(35_000) if in_admissible_set(t, p)]
     assert len(primes) >= lab.POOL_MIN_PRIMES  # below that the serial path runs
     # four CPUs to run on, so a one-CPU runner still pools; the pool is held
     # here, so only an explicit stop ends its workers
@@ -645,11 +646,108 @@ def test_window_sweeps_neither_test_primality_nor_factor(monkeypatch):
     assert primes_module._table is table
 
 
+def valuation(n, q):
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
+    return e
+
+
+def group_order_ref(t, p):
+    tp = t_mod_p(t, p)
+    return p - 1 if pow((tp * tp - 4) % p, (p - 1) // 2, p) == 1 else p + 1
+
+
+@pytest.mark.parametrize("p, n, sample", [
+    (97, 96, None), (127, 128, None), (163, 162, None), (257, 256, None),  # 2**5*3, 2**7, 2*3**4, 2**8
+    (487, 486, 60), (769, 768, 60),  # 2*3**5, 2**8*3
+])
+def test_orders_on_high_prime_powers_match_stepping(p, n, sample):
+    """ord_p, ord_companion and xi against order by stepping, on groups
+    whose order carries a high prime power, where the descent divides by
+    the same q many times: every class mod p, or a seeded sample plus the
+    scalar class (order 1) and a traceless class (order 2)."""
+    t = next(F(c) for c in itertools.count(3) if in_admissible_set(F(c), p) and group_order_ref(F(c), p) == n)
+    tp = t_mod_p(t, p)
+    ctx = ParamPair.one_param(t)
+    classes = [(1, 0)] + [(c, 1) for c in range(p)]
+    if sample:
+        classes = [(0, 1), (2, tp)] + random.Random(p).sample(classes, sample)
+    seen = set()
+    for pair in classes:
+        if singular_mod(t, pair, p):
+            continue
+        order = brute_class_order(t, p, pair)
+        assert ord_p(modp_reduce(GroupElement.from_pair(ctx, *pair), p)) == order, (t, p, pair)
+        seen.add(order)
+    assert ord_companion(t, p) == brute_class_order(t, p, (1, tp))
+    assert xi(t, p) == brute_class_order(t, p, (-1, 1))
+    assert {1, 2} <= seen
+    if not sample:  # a cyclic group has an element of every order dividing n
+        assert seen == {d for d in range(1, n + 1) if n % d == 0}
+
+
+def test_descent_runs_one_ladder_per_prime_it_keeps(monkeypatch):
+    """On the rows of one sweep, each descent for ord_p(D), over N/2, runs
+    sum over q | N/2 of min(e_q, v_q(k/2) + 1) ladders, with e_q = v_q(N/2)
+    and k = N/ord_p(D) from the pair-power reference: one per prime, and
+    one more per factor q it divides out."""
+    ladders, descents = [], []
+    real_order, real_lucas = modp._order, modp._lucas_v
+
+    def counted_lucas(s, p, n):
+        ladders.append(n)
+        return real_lucas(s, p, n)
+
+    def counted_order(s, p, n):
+        start = len(ladders)
+        m = real_order(s, p, n)
+        descents.append((p, n, len(ladders) - start))
+        return m
+
+    monkeypatch.setattr(modp, "_lucas_v", counted_lucas)
+    monkeypatch.setattr(modp, "_order", counted_order)
+    modp._row.cache_clear()
+    t = F(19, 3)
+    elements = random_classes(random.Random(18), t, 3)
+    primes = lab.window_split(t, PrimeWindow("first", 700))[0]
+    divisor_table(elements, primes)
+    repeats = 0
+    for p, half, count in descents:
+        n = group_order_ref(t, p)
+        assert half == n // 2, p
+        k = n // descent_companion_order(t, p)
+        steps = [min(e, valuation(k // 2, q) + 1) for q, e in factorize(half).items()]
+        assert count == sum(steps), (p, n, k)
+        repeats += any(step > 1 for step in steps)
+    assert len(descents) > 500 and repeats > 20
+
+
 def test_row_cache_is_bounded():
     caches = [f for f in vars(modp).values() if hasattr(f, "cache_info")]
     assert caches == [modp._row]
     assert all(f.cache_info().maxsize is not None for f in caches)
     assert modp._row.cache_info().maxsize >= 6 * 1232  # one table3 window of six rows
+
+
+def test_qr_filter_and_xi_run_no_companion_descent(monkeypatch):
+    """qr_filter needs only t_p, and xi runs only its own descent: neither
+    finds ord_p(D) on a fresh row."""
+    descents = []
+    real_order = modp._order
+    monkeypatch.setattr(modp, "_order", lambda s, p, n: descents.append(p) or real_order(s, p, n))
+    modp._row.cache_clear()
+    t = F(19, 3)
+    x = GroupElement.from_pair(ParamPair.one_param(t), 2, 7)
+    primes = [p for p in odd_primes_below(20_000) if in_admissible_set(t, p)]
+    assert len(primes) == 2257
+    flags = [qr_filter(x, p) for p in primes]
+    assert descents == [] and 0 < sum(flags) < len(primes)
+    modp._row.cache_clear()
+    for p in primes[:500]:
+        xi(t, p)
+    assert descents == primes[:500]
 
 
 def test_excluded_prime_messages():
