@@ -4,7 +4,9 @@ Nonsingular ring elements taken modulo nonzero scalars form an abelian group
 (the projectivization of the invertible part of the ring).  Each class holds
 exactly one reduced representative: a coprime integer pair [a0, a1] with
 a1 > 0, or a1 = 0 and a0 > 0.  All group arithmetic happens on these
-representatives, in integers over the common denominator of T and Q; only
+representatives, in the integers (L, L*T, L*Q) the context clears once
+(`ParamPair.cleared`, L the least common denominator of T and Q): products,
+inverses, and the determinant tests through the integer L*det.  Only
 `from_pair` validates (products of nonsingular classes are nonsingular).
 
 The layer enforces the parameter exclusion t not in {0, +-1, +-2} (for a
@@ -18,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Tuple
 
 from . import primes as _primes
@@ -55,7 +57,7 @@ class GroupElement:
             raise SingularElementError("the zero pair has no class")
         L = lcm(x0.denominator, x1.denominator)
         el = _reduced(ctx, x0.numerator * (L // x0.denominator), x1.numerator * (L // x1.denominator))
-        if el.det == 0:
+        if _cleared_det(el) == 0:
             raise SingularElementError("pair [%s, %s] is singular over %r" % (x0, x1, ctx))
         return el
 
@@ -72,16 +74,16 @@ class GroupElement:
         return RingElement(self.ctx, Fraction(self.a0), Fraction(self.a1))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("elements over %r and %r" % (self.ctx, other.ctx))
-        L, LT, LQ = _cleared(self.ctx)
+        L, LT, LQ = self.ctx.cleared
         x0, x1, y0, y1 = self.a0, self.a1, other.a0, other.a1
         p = x0 * y0
         return _reduced(self.ctx, L * (x1 * y0 + x0 * y1) - LT * p, L * x1 * y1 - LQ * p)
 
     def inverse(self) -> "GroupElement":
         """The class of the conjugate (det X) * X**-1."""
-        L, LT, _ = _cleared(self.ctx)
+        L, LT, _ = self.ctx.cleared
         return _reduced(self.ctx, -L * self.a0, L * self.a1 - LT * self.a0)
 
     def __pow__(self, n: int) -> "GroupElement":
@@ -100,11 +102,19 @@ def _reduced(ctx: ParamPair, a0: int, a1: int) -> GroupElement:
     return GroupElement(ctx, a0 // g, a1 // g)
 
 
-def _cleared(ctx: ParamPair) -> Tuple[int, int, int]:
-    """(L, L*T, L*Q) for the least common denominator L of T and Q."""
-    T, Q = ctx.T, ctx.Q
-    L = lcm(T.denominator, Q.denominator)
-    return L, T.numerator * (L // T.denominator), Q.numerator * (L // Q.denominator)
+def _cleared_det(g: GroupElement) -> int:
+    """L*det g, an integer: L*a1**2 - LT*a0*a1 + LQ*a0**2 for the context's
+    cleared (L, LT, LQ)."""
+    L, LT, LQ = g.ctx.cleared
+    a0, a1 = g.a0, g.a1
+    return L * a1 * a1 - LT * a0 * a1 + LQ * a0 * a0
+
+
+def _has_square_det(g: GroupElement) -> bool:
+    """Whether det g is a rational square, with no Fraction built: as L > 0,
+    det = (L*det)*L / L**2 is a square iff the integer (L*det)*L is one."""
+    n = _cleared_det(g) * g.ctx.cleared[0]
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def reduce_element(x: RingElement) -> GroupElement:

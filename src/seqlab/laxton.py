@@ -3,10 +3,12 @@
 Quotienting the sequence group by the cyclic subgroup generated by the
 companion class D identifies a sequence with all of its shifts.  Each coset
 gets a canonical representative, the shift of least (height, a0, a1), found
-by one bounded walk (shift heights grow without bound both ways).  It makes
-coset objects hashable and structurally comparable, and decides coset
-equality: X and Y share a coset iff X*Y^{-1} and the identity have the same
-canonical shift.
+by one bounded walk (shift heights grow without bound both ways) on the
+context's cleared integers.  It makes coset objects hashable and
+structurally comparable, and decides coset equality: X and Y share a coset
+iff X*Y^{-1} and the identity have the same canonical shift.  The identity
+is D**0 and is never walked to find that out; a torsion table walks the
+identity's coset once and each entry's once.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from .ring import ParamPair, RationalLike, companion, u_pair, _frac
 from .transforms import classify_cyclotomic, phi_inverse, phi_r
 from .group import (
     GroupElement,
+    _has_square_det,
+    _reduced,
     check_group_context,
     class_c,
     class_w,
     class_v,
-    companion_class,
     identity_class,
     maximal_decomposition,
     primitivity,
@@ -64,19 +67,27 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
 def _find_d_power(z: GroupElement, one: Optional[Tuple[GroupElement, int]] = None) -> Optional[int]:
     """The k with z = class(D**k), or None.
 
-    For one-parameter contexts det z must be a rational square (det D = 1),
-    which filters most misses for free.  Otherwise z is a D-power exactly
+    The identity is D**0 and is not walked.  For one-parameter contexts
+    det z must be a rational square (det D = 1), which filters most misses
+    in integers (`group._has_square_det`).  Otherwise z is a D-power exactly
     when its coset and the identity's have the same canonical shift:
     z*D**k_z = D**k_1 gives z = D**(k_1 - k_z), and equal representatives
     only ever come from one coset.  `one` is the identity's canonical
     shift, for callers that test many z over one context; it is walked here
     when not given.
     """
-    if z.ctx.is_one_param and not is_rational_square(z.det):
+    if _is_identity(z):
+        return 0
+    if z.ctx.is_one_param and not _has_square_det(z):
         return None
     rep_z, k_z = _canonical_shift(z)
     rep_1, k_1 = one or _canonical_shift(identity_class(z.ctx))
     return k_1 - k_z if rep_z == rep_1 else None
+
+
+def _is_identity(g: GroupElement) -> bool:
+    # [0, 1] is the one reduced pair with a0 = 0
+    return g.a0 == 0
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,11 @@ def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
     Shift heights grow without bound in both directions, so the minimum sits
     in a finite window; the walk goes one product per step each way and
     stops once heights have exceeded the current best for several
-    consecutive steps.
+    consecutive steps.  The step D = [1, T] is the cleared pair [L, LT];
+    g's context was validated when g was built.
     """
-    d = companion_class(g.ctx)
+    L, LT, _ = g.ctx.cleared
+    d = _reduced(g.ctx, L, LT)
     best, best_k = g, 0
     for step, direction in ((d, 1), (d.inverse(), -1)):
         cur, k, exceed = g, 0, 0
@@ -138,11 +151,20 @@ def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
 def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:
     """The order of g's coset in the Laxton group, if it is <= bound."""
     one = _canonical_shift(identity_class(g.ctx))
+    if bound >= 1 and _find_d_power(g, one) is not None:
+        return 1
+    return _order_above_one(g, bound, one)
+
+
+def _order_above_one(g: GroupElement, bound: int, one: Tuple[GroupElement, int]) -> Optional[int]:
+    """The least 2 <= k <= bound with g**k a D-power, or None: the order of
+    g's coset once g itself is known not to be a D-power.  `one` is the
+    identity's canonical shift."""
     acc = g
-    for k in range(1, bound + 1):
+    for k in range(2, bound + 1):
+        acc = acc * g
         if _find_d_power(acc, one) is not None:
             return k
-        acc = acc * g
     return None
 
 
@@ -185,9 +207,15 @@ class TorsionTable:
         }
 
 
-def _entry(g: GroupElement, order_bound: int = 24) -> TorsionEntry:
-    rep, k = _canonical_shift(g)
-    order = laxton_order(g, bound=order_bound)
+def _entry(g: GroupElement, order_bound: int = 24, one: Optional[Tuple[GroupElement, int]] = None) -> TorsionEntry:
+    """g's torsion entry.  `one` is the identity's canonical shift over g's
+    context, for a table that shares one walk of it over all its entries;
+    it is walked here when not given.  The one walk of g gives its coset
+    and settles the k = 1 step of the order search; the identity is not
+    walked twice."""
+    one = one or _canonical_shift(identity_class(g.ctx))
+    rep, k = one if _is_identity(g) else _canonical_shift(g)
+    order = 1 if rep == one[0] else _order_above_one(g, order_bound, one)
     if order is None:
         raise InvariantError("element %r is not torsion within bound %d" % (g, order_bound))
     # rep = g*D**k, so g = rep*D**-k
@@ -266,7 +294,8 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
             enumerated=False,
             note="t = -C_%d(%s); kernel cosets enumerated only for the + sign" % (m, format_rational(u)),
         )
-    entries = tuple(_entry(g, order_bound=2 * m) for g in xi_n_kernel(u, m))
+    one = _canonical_shift(identity_class(ctx))
+    entries = tuple(_entry(g, 2 * m, one) for g in xi_n_kernel(u, m))
     return TorsionTable(
         t=t, kind=kind, group_type=group_type, entries=entries, enumerated=True,
         note="kernel cosets of the degree-%d quotient onto the group over %s" % (m, format_rational(u)),
@@ -274,9 +303,12 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
 
 
 def _enumerated_table(t: Fraction, kind: str, group_type: Tuple[int, ...], elements: List[GroupElement]) -> TorsionTable:
+    """The table of the cosets of `elements`, the identity class first; its
+    coset is walked once, for every entry."""
+    one = _canonical_shift(elements[0])
     entries: Dict[LaxtonElement, TorsionEntry] = {}
     for g in elements:
-        e = _entry(g)
+        e = _entry(g, one=one)
         entries.setdefault(e.element, e)
     expected = 1
     for n in group_type:

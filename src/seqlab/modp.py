@@ -92,14 +92,19 @@ def exclusion_modulus(n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class ModpContext:
-    """t reduced mod an admissible prime, with the group order and the
-    order of the companion class D."""
+    """t reduced mod an admissible prime, with the group order and, on
+    demand, the order of the companion class D."""
 
     t: Fraction
     p: int
     t_p: int
     group_order: int
-    companion_order: int
+
+    @property
+    def companion_order(self) -> int:
+        """ord_p(D), from the row's index k, which the first ask finds."""
+        row = _row(self.t.numerator, self.t.denominator, self.p)
+        return self.group_order // (row[2] or _index(row, self.p))
 
 
 # Integer keys, so no Fraction is hashed; 1 << 14 rows hold a table3 window
@@ -173,8 +178,7 @@ def _checked_row(t: RationalLike, p: int) -> List[int]:
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = _frac(t)
     row = _checked_row(t, p)
-    n, k = p + row[1], row[2] or _index(row, p)
-    return ModpContext(t=t, p=p, t_p=row[0], group_order=n, companion_order=n // k)
+    return ModpContext(t=t, p=p, t_p=row[0], group_order=p + row[1])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 from typing import Callable, Tuple, TypeVar, Union
 
 from .errors import ContextMismatchError, InvalidContextError, SingularElementError
@@ -77,6 +78,14 @@ class ParamPair:
     @property
     def discriminant(self) -> Fraction:
         return self.T * self.T - 4 * self.Q
+
+    @cached_property
+    def cleared(self) -> Tuple[int, int, int]:
+        """(L, L*T, L*Q) for the least common denominator L > 0 of T and Q:
+        the integers the group layer computes on, found once per context."""
+        T, Q = self.T, self.Q
+        L = lcm(T.denominator, Q.denominator)
+        return L, T.numerator * (L // T.denominator), Q.numerator * (L // Q.denominator)
 
     def to_dict(self) -> dict:
         if self.is_one_param:
@@ -189,7 +198,7 @@ class RingElement:
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "RingElement") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("elements over %r and %r" % (self.ctx, other.ctx))
 
     def __add__(self, other: "RingElement") -> "RingElement":

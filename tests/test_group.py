@@ -14,9 +14,13 @@ from seqlab.primes import primes_below
 from seqlab.rational import divisors
 from seqlab.ring import ParamPair, chebyshev_c, make_element
 from seqlab.lab import PrimeWindow, gamma
+from seqlab.rational import is_rational_square
 from seqlab.group import (
     GroupElement,
+    _cleared_det,
+    _has_square_det,
     _lucas_v,
+    _reduced,
     class_c,
     class_v,
     class_w,
@@ -135,6 +139,49 @@ def test_product_across_contexts_rejected():
     for ctx in (ParamPair.one_param(F(19, 3)), ParamPair(3, 2)):
         with pytest.raises(ContextMismatchError):
             x * GroupElement.from_pair(ctx, 1, 4)
+
+
+# Contexts (r + s, r*s) with rational roots r, s of x**2 - T*x + Q, where
+# the classes [1, r] and [1, s] are singular; the first two have Q = 1.
+ROOT_PAIRS = [(F(3, 2), F(2, 3)), (F(-5, 4), F(-4, 5)), (F(2, 5), F(-3, 7)), (F(7, 3), F(1, 6)), (F(-9, 2), F(1, 4))]
+
+
+def test_integer_det_tests_match_the_fraction_det():
+    """Over one- and two-parameter contexts with L > 1, the integer L*det
+    is L times det, its squareness test is is_rational_square(det) and its
+    zero test is det == 0, on seeded pairs, squares, the identity and the
+    singular pairs [1, r]."""
+    rng = random.Random(0xC1EA2ED)
+    contexts = [ParamPair(r + s, r * s) for r, s in ROOT_PAIRS] + [
+        ParamPair.one_param(t) for t in (F(19, 3), F(6, 5), F(-7, 4), F(11, 7), F(1, 3))
+    ] + [ParamPair(F(5, 2), F(-3, 4)), ParamPair(F(1, 3), F(7, 5)), ParamPair(-5, F(2, 9))]
+    seen = {"one_param": 0, "negative": 0, "square": 0, "singular": 0}
+    for i, ctx in enumerate(contexts):
+        L = ctx.cleared[0]
+        assert L > 1 and ctx.cleared == (L, ctx.T * L, ctx.Q * L)
+        cases = [GroupElement(ctx, 0, 1)]
+        for _ in range(60):
+            cases.append(_reduced(ctx, rng.randint(-30, 30), rng.randint(1, 30)))
+        for _ in range(30):
+            g = _reduced(ctx, rng.randint(-12, 12), rng.randint(1, 12))
+            if g.det != 0:
+                cases.append(g * g)
+        if i < len(ROOT_PAIRS):
+            for r in ROOT_PAIRS[i]:
+                cases.append(_reduced(ctx, r.denominator, r.numerator))
+                with pytest.raises(SingularElementError):
+                    GroupElement.from_pair(ctx, 1, r)
+        for g in cases:
+            det = g.det
+            assert _cleared_det(g) == det * L, (ctx, g)
+            assert _has_square_det(g) == is_rational_square(det), (ctx, g)
+            assert (_cleared_det(g) == 0) == (det == 0), (ctx, g)
+            seen["one_param"] += ctx.is_one_param
+            seen["negative"] += det < 0
+            seen["square"] += det != 0 and is_rational_square(det)
+            seen["singular"] += det == 0
+    assert seen["one_param"] > 500 and seen["negative"] > 100
+    assert seen["square"] > 300 and seen["singular"] >= 2 * len(ROOT_PAIRS)
 
 
 def test_from_pair_rejects_t_zero_rings():

@@ -372,3 +372,28 @@ def test_laxton_order_walks_the_identity_once(monkeypatch):
     g = GroupElement.from_pair(T3, 1, 5)  # free: no power up to the bound is a D-power
     assert laxton_order(g, bound=24) is None
     assert calls.count(True) == 1 and len(calls) > 12
+
+
+@pytest.mark.parametrize("t, walks", [(F(11, 7), 32), (F(6, 5), 16), (F(47), 11)])
+def test_torsion_walks_the_identity_once_per_table(monkeypatch, t, walks):
+    """A cubic, a circular primitive and a non-primitive (47 = C_4(3)) table
+    walk the identity's coset once, before the entries, and each entry
+    walks its g at most once, for its coset and its k = 1 step together."""
+    walk, entry = seqlab.laxton._canonical_shift, seqlab.laxton._entry
+    log, spans = [], []
+
+    def logged_entry(g, *args, **kwargs):
+        start = len(log)
+        e = entry(g, *args, **kwargs)
+        spans.append((g, log[start:]))
+        return e
+
+    monkeypatch.setattr(seqlab.laxton, "_canonical_shift", lambda g: log.append(g) or walk(g))
+    monkeypatch.setattr(seqlab.laxton, "_entry", logged_entry)
+    table = laxton_torsion(t)
+    assert table.enumerated and spans
+    identity = identity_class(ParamPair.one_param(t))
+    assert log.count(identity) == 1
+    for g, walked in spans:
+        assert walked.count(g) <= 1 and identity not in walked, (g, walked)
+    assert len(log) == walks

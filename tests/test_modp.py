@@ -750,6 +750,30 @@ def test_qr_filter_and_xi_run_no_companion_descent(monkeypatch):
     assert descents == primes[:500]
 
 
+def test_modp_reduce_runs_no_companion_descent(monkeypatch):
+    """modp_reduce needs only t_p: 500 reductions on fresh rows run no
+    descent, ord_p then runs only its own, and companion_order finds
+    ord_p(D) when it is read, once per row."""
+    descents = []
+    real_order = modp._order
+    monkeypatch.setattr(modp, "_order", lambda s, p, n: descents.append(p) or real_order(s, p, n))
+    modp._row.cache_clear()
+    t = F(19, 3)
+    x = GroupElement.from_pair(ParamPair.one_param(t), 2, 7)  # det -107/3
+    primes = [p for p in odd_primes_below(5000) if in_admissible_set(t, p) and p != 107][:500]
+    assert len(primes) == 500
+    reduced = [modp_reduce(x, p) for p in primes]
+    assert descents == []
+    orders = [ord_p(r) for r in reduced]
+    assert descents == primes
+    del descents[:]
+    ms = [r.ctx.companion_order for r in reduced] + [r.ctx.companion_order for r in reduced]
+    assert descents == primes
+    modp._row.cache_clear()
+    assert ms[:500] == ms[500:] == [modp_context(t, p).companion_order for p in primes]
+    assert [m % n == 0 for m, n in zip(ms, orders)] == [is_divisor(x, p) for p in primes]
+
+
 def test_excluded_prime_messages():
     x = GroupElement.from_pair(T3, 1, 4)
     y = GroupElement.from_pair(ParamPair.one_param(F(19, 3)), 2, 9)
