@@ -31,7 +31,7 @@ from .rational import format_rational, is_rational_square
 from .ring import ParamPair, RationalLike, make_element, _frac
 from .transforms import cubic_class, is_simple, phi
 from .group import GroupElement, class_c, class_w, class_v, reduce_element
-from .modp import divisor_table, exclusion_modulus
+from .modp import _one_param_t, divisor_table, exclusion_modulus
 from .primes import first_odd_primes, odd_primes_below
 
 CONVENTIONS = ("pi_t", "all")
@@ -110,17 +110,17 @@ def window_split(t: RationalLike, window: PrimeWindow) -> Tuple[List[int], List[
     return eligible, excluded
 
 
-# Sweeps of fewer primes than this run serially, and so does table3 over a
-# window of fewer primes: starting a pool eats what it saves there.  On 2
-# vCPUs, a `table3 --full --format json` process (medians of 21 interleaved
-# pairs, serial against its rows on a 2-worker pool) took 0.25 s serially
-# against 0.27 s on the pool at first:2500, where the pool won 1, 4 and 5
-# pairs of 21 in three runs; 0.33 s against 0.34 s at first:3000 (won 5, 10
-# and 20 of 21); 0.39 s against 0.31 s at first:3500 and 0.43 s against
-# 0.32 s at first:4000 (won 20 or 21 of 21 in two runs each).  A one-element
-# `divisors` sweep ran slower on its chunk pool even at first:10000 (0.43 s
-# against 0.38 s).
-POOL_MIN_PRIMES = 3500
+# A sweep of fewer (t, p) rows than this, one per distinct t and window
+# prime, runs serially, and so does table3 over fewer than its six rows
+# times the window's primes: starting a pool eats what it saves there.  On
+# 2 vCPUs (whole `--format json` processes, medians of 7 interleaved pairs
+# against a run pinned to one CPU) `table3 --full` took 0.37 s on its row
+# pool against 0.55 s serially at first:3500, 6 x 3 500 = 21 000 rows (won
+# 7 of 7), while a one-element `divisors` sweep, one row per prime, lost on
+# its chunk pool at first:5000 (0.195 against 0.169 s) and first:10000
+# (0.253 against 0.220 s, won 0 of 7 at each), and only from first:15000
+# to first:25000 won 3 to 5 pairs of 7.
+POOL_MIN_ROWS = 21000
 
 
 def _cpus() -> int:
@@ -143,23 +143,20 @@ def _pooled(func, jobs: list, workers: int) -> list:
 def divisor_flags(elements: Sequence[GroupElement], primes: Sequence[int]) -> List[Tuple[bool, ...]]:
     """Per-prime divisor membership for each element, in window order.
 
-    With at least POOL_MIN_PRIMES primes and more than one CPU to run on
-    (see `_cpus`), the prime list is chunked across a pool of one worker
-    per CPU; chunk results are merged in order, so the output is identical
-    to the serial run.
+    With at least POOL_MIN_ROWS rows (primes times distinct t) and more
+    than one CPU to run on (see `_cpus`), the prime list is cut into at
+    most four chunks per CPU on a pool of one worker per CPU; chunk results
+    are merged in order, so the output is identical to the serial run.
     """
     cpus = _cpus()
-    if cpus == 1 or len(primes) < POOL_MIN_PRIMES:
+    if cpus == 1 or len(primes) * len({x.ctx.T for x in elements}) < POOL_MIN_ROWS:
         return divisor_table(elements, primes)
-    chunk = max(32, len(primes) // (4 * cpus))
+    chunk = -(-len(primes) // (4 * cpus))
     jobs = [(elements, primes[i : i + chunk]) for i in range(0, len(primes), chunk)]
     return [row for part in _pooled(divisor_table, jobs, cpus) for row in part]
 
 
-def _one_param_t_of(x: GroupElement) -> Fraction:
-    if not x.ctx.is_one_param:
-        raise DegenerateParameterError("divisor sweeps take one-parameter classes")
-    return x.ctx.T
+_SWEEP_CLASSES = "divisor sweeps take one-parameter classes"
 
 
 def sweep(
@@ -168,7 +165,7 @@ def sweep(
     """(admissible, excluded, flags): the window split for the parameter t
     of the first element, a one-parameter class, and the divisor flags of
     every element over the admissible primes."""
-    eligible, excluded = window_split(_one_param_t_of(elements[0]), window)
+    eligible, excluded = window_split(_one_param_t(elements[0], _SWEEP_CLASSES), window)
     return eligible, excluded, divisor_flags(elements, eligible)
 
 
@@ -245,7 +242,7 @@ def partition_six(x: GroupElement, window: PrimeWindow) -> SixPartition:
     matching basis divisor sets (wx_vx in Gamma(C), cx_wx in Gamma(V),
     cx_vx in Gamma(W)); any violation is a genuine arithmetic failure.
     """
-    t = _one_param_t_of(x)
+    t = _one_param_t(x, _SWEEP_CLASSES)
     ctx = x.ctx
     c, w, v = class_c(ctx), class_w(t), class_v(t)
     elements = [x, c * x, w * x, v * x, x * x, c, w, v]
@@ -454,11 +451,12 @@ def table3(
     window: PrimeWindow = PrimeWindow(), full: bool = False,
 ) -> List[DensityReport]:
     """Rerun all published independence rows over the given window; from
-    POOL_MIN_PRIMES window primes up, on more than one CPU, one pool runs
-    the rows side by side, each worker sweeping its rows serially."""
+    POOL_MIN_ROWS rows (six times the window's primes) up, on more than one
+    CPU, one pool runs the rows side by side, each worker sweeping its rows
+    serially."""
     jobs = [(T, Q, x0, x1, window, full, ref) for (T, Q, x0, x1, ref) in TABLE3_ROWS]
     cpus = _cpus()
-    if cpus == 1 or len(window._sieved) < POOL_MIN_PRIMES:
+    if cpus == 1 or len(jobs) * len(window._sieved) < POOL_MIN_ROWS:
         return [independence_report(*job) for job in jobs]
     return _pooled(independence_report, jobs, min(cpus, len(jobs)))
 

@@ -6,9 +6,9 @@ gets a canonical representative, the shift of least (height, a0, a1), found
 by one bounded walk (shift heights grow without bound both ways) on the
 context's cleared integers.  It makes coset objects hashable and
 structurally comparable, and decides coset equality: X and Y share a coset
-iff X*Y^{-1} and the identity have the same canonical shift.  The identity
-is D**0 and is never walked to find that out; a torsion table walks the
-identity's coset once and each entry's once.
+iff X*Y^{-1} is a D-power, which the walk of X*Y^{-1} alone settles (see
+`_d_power_at`).  The identity is walked only where [-1, 1] may be a
+D-power, over two parameters, and as a torsion table's own identity entry.
 """
 
 from __future__ import annotations
@@ -64,25 +64,43 @@ def laxton_eq(x: GroupElement, y: GroupElement) -> Optional[LaxtonWitness]:
     return LaxtonWitness(k=k, scale=scale)
 
 
-def _find_d_power(z: GroupElement, one: Optional[Tuple[GroupElement, int]] = None) -> Optional[int]:
+def _find_d_power(z: GroupElement) -> Optional[int]:
     """The k with z = class(D**k), or None.
 
     The identity is D**0 and is not walked.  For one-parameter contexts
     det z must be a rational square (det D = 1), which filters most misses
-    in integers (`group._has_square_det`).  Otherwise z is a D-power exactly
-    when its coset and the identity's have the same canonical shift:
-    z*D**k_z = D**k_1 gives z = D**(k_1 - k_z), and equal representatives
-    only ever come from one coset.  `one` is the identity's canonical
-    shift, for callers that test many z over one context; it is walked here
-    when not given.
+    in integers (`group._has_square_det`).  Otherwise z's own canonical
+    shift decides.
     """
     if _is_identity(z):
         return 0
     if z.ctx.is_one_param and not _has_square_det(z):
         return None
-    rep_z, k_z = _canonical_shift(z)
-    rep_1, k_1 = one or _canonical_shift(identity_class(z.ctx))
-    return k_1 - k_z if rep_z == rep_1 else None
+    return _d_power_at(*_canonical_shift(z))
+
+
+def _d_power_at(rep: GroupElement, k: int) -> Optional[int]:
+    """The j with z = class(D**j), or None, given z's canonical shift
+    rep = z*D**k.
+
+    rep = [0, 1] gives z = D**-k, whatever the walk's stop rule did.  A
+    D-power z has the canonical shift of <D>, and that is [0, 1] or [-1, 1]:
+    the reduced pairs of height 1 are [-1, 1], [0, 1], [1, 0] and [1, 1],
+    and only [-1, 1] has a smaller (height, a0, a1) than the identity.
+    Over one parameter [-1, 1] is W, and W**2 is the class of D**-1, so
+    W = D**j would make D torsion, which t not in {0, +-1, +-2} rules out.
+    Over two parameters [-1, 1] is a D-power in three families: D itself
+    when T = -1, D**2 when Q = T**2 + T and D**-2 when Q = -T, as at
+    (-1, 5), (2, 6) and (3, -3).  Only there is the identity walked: if
+    its canonical shift D**k_1 is [-1, 1] too, z*D**k = D**k_1 gives
+    z = D**(k_1 - k).
+    """
+    if _is_identity(rep):
+        return -k
+    if (rep.a0, rep.a1) != (-1, 1) or rep.ctx.is_one_param:
+        return None
+    rep_1, k_1 = _canonical_shift(identity_class(rep.ctx))
+    return k_1 - k if rep_1 == rep else None
 
 
 def _is_identity(g: GroupElement) -> bool:
@@ -150,20 +168,18 @@ def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
 
 def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:
     """The order of g's coset in the Laxton group, if it is <= bound."""
-    one = _canonical_shift(identity_class(g.ctx))
-    if bound >= 1 and _find_d_power(g, one) is not None:
+    if bound >= 1 and _find_d_power(g) is not None:
         return 1
-    return _order_above_one(g, bound, one)
+    return _order_above_one(g, bound)
 
 
-def _order_above_one(g: GroupElement, bound: int, one: Tuple[GroupElement, int]) -> Optional[int]:
+def _order_above_one(g: GroupElement, bound: int) -> Optional[int]:
     """The least 2 <= k <= bound with g**k a D-power, or None: the order of
-    g's coset once g itself is known not to be a D-power.  `one` is the
-    identity's canonical shift."""
+    g's coset once g itself is known not to be a D-power."""
     acc = g
     for k in range(2, bound + 1):
         acc = acc * g
-        if _find_d_power(acc, one) is not None:
+        if _find_d_power(acc) is not None:
             return k
     return None
 
@@ -207,15 +223,11 @@ class TorsionTable:
         }
 
 
-def _entry(g: GroupElement, order_bound: int = 24, one: Optional[Tuple[GroupElement, int]] = None) -> TorsionEntry:
-    """g's torsion entry.  `one` is the identity's canonical shift over g's
-    context, for a table that shares one walk of it over all its entries;
-    it is walked here when not given.  The one walk of g gives its coset
-    and settles the k = 1 step of the order search; the identity is not
-    walked twice."""
-    one = one or _canonical_shift(identity_class(g.ctx))
-    rep, k = one if _is_identity(g) else _canonical_shift(g)
-    order = 1 if rep == one[0] else _order_above_one(g, order_bound, one)
+def _entry(g: GroupElement, order_bound: int = 24) -> TorsionEntry:
+    """g's torsion entry.  The one walk of g gives its coset and settles
+    the k = 1 step of the order search."""
+    rep, k = _canonical_shift(g)
+    order = 1 if _d_power_at(rep, k) is not None else _order_above_one(g, order_bound)
     if order is None:
         raise InvariantError("element %r is not torsion within bound %d" % (g, order_bound))
     # rep = g*D**k, so g = rep*D**-k
@@ -294,8 +306,7 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
             enumerated=False,
             note="t = -C_%d(%s); kernel cosets enumerated only for the + sign" % (m, format_rational(u)),
         )
-    one = _canonical_shift(identity_class(ctx))
-    entries = tuple(_entry(g, 2 * m, one) for g in xi_n_kernel(u, m))
+    entries = tuple(_entry(g, 2 * m) for g in xi_n_kernel(u, m))
     return TorsionTable(
         t=t, kind=kind, group_type=group_type, entries=entries, enumerated=True,
         note="kernel cosets of the degree-%d quotient onto the group over %s" % (m, format_rational(u)),
@@ -303,12 +314,10 @@ def laxton_torsion(t: RationalLike) -> TorsionTable:
 
 
 def _enumerated_table(t: Fraction, kind: str, group_type: Tuple[int, ...], elements: List[GroupElement]) -> TorsionTable:
-    """The table of the cosets of `elements`, the identity class first; its
-    coset is walked once, for every entry."""
-    one = _canonical_shift(elements[0])
+    """The table of the cosets of `elements`, one entry per coset."""
     entries: Dict[LaxtonElement, TorsionEntry] = {}
     for g in elements:
-        e = _entry(g, one=one)
+        e = _entry(g)
         entries.setdefault(e.element, e)
     expected = 1
     for n in group_type:

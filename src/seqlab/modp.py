@@ -63,7 +63,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from . import primes as _primes
-from .errors import ExcludedPrimeError, SingularElementError
+from .errors import DegenerateParameterError, ExcludedPrimeError, SingularElementError
 from .group import GroupElement
 from .ring import RationalLike, _frac
 from .transforms import check_parameter
@@ -175,6 +175,14 @@ def _checked_row(t: RationalLike, p: int) -> List[int]:
     return _row(t.numerator, t.denominator, p)
 
 
+def _one_param_t(x: GroupElement, message: str) -> Fraction:
+    """The parameter t of a one-parameter class x; a class over two
+    parameters raises with `message`."""
+    if not x.ctx.is_one_param:
+        raise DegenerateParameterError(message)
+    return x.ctx.T
+
+
 def modp_context(t: RationalLike, p: int) -> ModpContext:
     t = _frac(t)
     row = _checked_row(t, p)
@@ -192,9 +200,7 @@ class ModpElement:
 
 def modp_reduce(x: GroupElement, p: int) -> ModpElement:
     """The class of x in the mod-p group; fails if det vanishes there."""
-    if not x.ctx.is_one_param:
-        raise ExcludedPrimeError("mod-p reduction takes one-parameter classes")
-    ctx = modp_context(x.ctx.T, p)
+    ctx = modp_context(_one_param_t(x, "mod-p reduction takes one-parameter classes"), p)
     a0, a1 = x.a0 % p, x.a1 % p
     if _det(ctx.t_p, p, a0, a1) == 0:
         raise SingularElementError("class %r is singular mod %d" % (x, p))
@@ -248,9 +254,8 @@ def divisor_table(elements: Sequence[GroupElement], primes: Sequence[int]) -> Li
     params: Dict[Fraction, int] = {}
     columns = []
     for x in elements:
-        if not x.ctx.is_one_param:
-            raise ExcludedPrimeError("divisor test takes one-parameter classes")
-        columns.append((params.setdefault(x.ctx.T, len(params)), x.a0, x.a1))
+        t = _one_param_t(x, "divisor test takes one-parameter classes")
+        columns.append((params.setdefault(t, len(params)), x.a0, x.a1))
     keys = [(t.numerator, t.denominator) for t in map(check_parameter, params)]
     table = []
     for p in primes:
@@ -287,6 +292,5 @@ def qr_filter(x: GroupElement, p: int) -> bool:
     Divisors of x all pass this filter, which caps the density of any
     divisor set at 1/2 when det(x) is not a rational square.
     """
-    if not x.ctx.is_one_param:
-        raise ExcludedPrimeError("QR filter takes one-parameter classes")
-    return _is_residue(_det(_checked_row(x.ctx.T, p)[0], p, x.a0, x.a1), p)
+    t_p = _checked_row(_one_param_t(x, "QR filter takes one-parameter classes"), p)[0]
+    return _is_residue(_det(t_p, p, x.a0, x.a1), p)

@@ -225,7 +225,8 @@ TABLE3_JSON_SHA256 = {
     "first:1200": "dc6885b800942806ff974027080c8d1d1b2dbfc3729bbe28b96d20db8ccceadd",
     "below:3000": "9f966bf32ed21f8cd2fe9ca0bc08a2f7fda225cae4b669dfdabff75447671276",
     "below:30000": "4d8f6f6ae2abd9b823874c303a489c1258ea3b1662125873732135d8fa0b740e",
-    # 3 731 primes: from POOL_MIN_PRIMES up, on more than one CPU, the rows run on the pool
+    # 6 x 3 731 = 22 386 rows: from POOL_MIN_ROWS up, on more than one CPU, the rows run on
+    # the pool; below:30000 is 6 x 3 244 = 19 464 rows and runs serially
     "below:35000": "1adaa6ced48c35505aab31ddfba0b681d472be13c2c61fbaf4be49b008ada0fe",
 }
 
@@ -238,8 +239,9 @@ def test_table3_json_output_hash(capsys, window):
 
 
 def test_parallel_below_the_pool_threshold_starts_no_pool(capsys, monkeypatch):
-    """Below POOL_MIN_PRIMES a sweep runs serially however many CPUs the
-    process may run on."""
+    """Below POOL_MIN_ROWS (t, p) rows a sweep runs serially however many
+    CPUs the process may run on: no table3 of the benchmark, at most six
+    rows over first:1232, reaches it."""
     argv = ("table3", "--window", "first:1200", "--full", "--format", "json")
     serial = run(capsys, *argv)
 
@@ -248,7 +250,7 @@ def test_parallel_below_the_pool_threshold_starts_no_pool(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert 1200 < lab.POOL_MIN_PRIMES
+    assert 6 * 1232 < lab.POOL_MIN_ROWS
     assert run(capsys, *argv) == serial
 
 

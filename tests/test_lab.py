@@ -1,5 +1,6 @@
 """Experiment-lab sweeps: windows, divisor sets, partitions, density reports."""
 
+import functools
 import multiprocessing
 import os
 import random
@@ -101,12 +102,26 @@ def _run_on_cpus(monkeypatch, cpus):
     return starts
 
 
+# At least POOL_MIN_ROWS admissible primes for each t swept below, so that
+# a sweep over one t pools
+POOLED = PrimeWindow("first", 21100)
+_X3 = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
+
+
+@functools.cache
+def _x3_serial_flags():
+    """POOLED's admissible primes for t = 3 and _X3's serial flags over
+    them, found once for every test that compares with them."""
+    eligible, _ = window_split(F(3), POOLED)
+    return eligible, divisor_table([_X3], eligible)
+
+
 def test_parallel_flags_match_serial(monkeypatch):
     t = F(3)
     ctx = ParamPair.one_param(t)
     xs = [GroupElement.from_pair(ctx, 1, 4), GroupElement.from_pair(ctx, 2, 3)]
-    eligible, _ = window_split(t, PrimeWindow("first", 3600))
-    assert len(eligible) >= lab.POOL_MIN_PRIMES  # so the pool runs
+    eligible, _ = window_split(t, POOLED)
+    assert len(eligible) >= lab.POOL_MIN_ROWS  # so the pool runs
     starts = _run_on_cpus(monkeypatch, 2)
     assert divisor_flags(xs, eligible) == divisor_table(xs, eligible)
     assert starts == [2]
@@ -116,14 +131,26 @@ def test_parallel_flags_match_serial(monkeypatch):
 def test_one_cpu_starts_no_pool(monkeypatch):
     """The CPU count is the affinity mask's, not the host's: a process
     pinned to one CPU of eight sweeps serially at any size."""
-    x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
-    eligible, _ = window_split(F(3), PrimeWindow("first", 3600))
+    eligible, serial = _x3_serial_flags()
     starts = _run_on_cpus(monkeypatch, 1)
-    assert divisor_flags([x], eligible) == divisor_table([x], eligible)
+    assert divisor_flags([_X3], eligible) == serial
     assert starts == []
 
 
-_X3 = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
+def test_the_pool_counts_rows_not_primes(monkeypatch):
+    """One element over 5 000 primes is 5 000 (t, p) rows, too few to pool
+    on two CPUs; five elements over five distinct t and the same primes
+    are 25 000 rows, and pool."""
+    primes, _ = window_split(F(7), PrimeWindow("first", 5003))
+    assert len(primes) == 5000 and 5 * 5000 >= lab.POOL_MIN_ROWS
+    xs = [GroupElement.from_pair(ParamPair.one_param(t), 1, 4) for t in (3, 4, 6, 7, 8)]
+    serial = divisor_table(xs, primes)
+    starts = _run_on_cpus(monkeypatch, 2)
+    assert divisor_flags(xs[:1], primes) == [row[:1] for row in serial]
+    assert starts == []
+    assert divisor_flags(xs, primes) == serial
+    assert starts == [2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("sweep", [
@@ -133,12 +160,11 @@ _X3 = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
     lambda w: independence_report(5, 3, 17, 11, w, full=True),
 ], ids=["gamma", "partition_six", "cubic_partition", "independence_report"])
 def test_pooled_sweeps_match_serial_and_leave_no_worker(monkeypatch, sweep):
-    window = PrimeWindow("first", 3600)
     serial_starts = _run_on_cpus(monkeypatch, 1)
-    serial = sweep(window)
+    serial = sweep(POOLED)
     assert serial_starts == []
     starts = _run_on_cpus(monkeypatch, 2)
-    assert sweep(window) == serial
+    assert sweep(POOLED) == serial
     assert starts == [2]
     assert multiprocessing.active_children() == []
 
@@ -147,14 +173,13 @@ def test_a_sweep_inside_a_pool_worker_runs_serially(monkeypatch):
     """A pool worker may not start processes, so a long sweep run inside
     one runs serially, though the affinity mask it inherits through fork
     offers two CPUs."""
-    window = PrimeWindow("first", 3600)
-    assert len(window_split(F(3), window)[0]) >= lab.POOL_MIN_PRIMES  # so it would pool
-    _run_on_cpus(monkeypatch, 1)
-    serial = gamma(_X3, window)
+    eligible, flags = _x3_serial_flags()
+    assert len(eligible) >= lab.POOL_MIN_ROWS  # so it would pool
+    serial = tuple(p for p, (hit,) in zip(eligible, flags) if hit)
     _run_on_cpus(monkeypatch, 2)
     pool = multiprocessing.get_context().Pool(1)
     try:
-        assert pool.apply(gamma, (_X3, window)) == serial
+        assert pool.apply(gamma, (_X3, POOLED)) == serial
     finally:
         pool.terminate()
 
@@ -166,7 +191,7 @@ def test_table3_shares_one_pool_across_its_rows(monkeypatch):
     serial_starts = _run_on_cpus(monkeypatch, 1)
     serial = table3(window, full=True)
     assert serial_starts == []
-    assert min(rep.eligible_count for rep in serial) >= lab.POOL_MIN_PRIMES  # so every row pools
+    assert len(TABLE3_ROWS) * len(window.primes()) >= lab.POOL_MIN_ROWS  # so the rows pool
     starts = _run_on_cpus(monkeypatch, 2)
     assert table3(window, full=True) == serial
     assert starts == [2]
@@ -195,14 +220,13 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, expect):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    x = GroupElement.from_pair(ParamPair.one_param(F(3)), 1, 4)
-    eligible, _ = window_split(F(3), PrimeWindow("first", 3600))
-    assert divisor_flags([x], eligible) == divisor_table([x], eligible)
+    eligible, serial = _x3_serial_flags()
+    assert divisor_flags([_X3], eligible) == serial
     if expect == 1:
         assert sizes == [] and chunks == []  # one CPU runs serially
     else:
         assert sizes == [expect]
-        assert chunks[0] == max(32, len(eligible) // (4 * expect)) and sum(chunks) == len(eligible)
+        assert chunks[0] == -(-len(eligible) // (4 * expect)) and sum(chunks) == len(eligible)
 
 
 def test_partition_six_runs_and_counts():

@@ -24,6 +24,7 @@ from seqlab.group import (
 from seqlab.laxton import (
     LaxtonElement,
     _entry,
+    _find_d_power,
     canonical_coset_rep,
     laxton_eq,
     laxton_order,
@@ -236,7 +237,9 @@ def _reference_d_power(z):
 
 
 WALK_CONTEXTS = [ParamPair.one_param(t) for t in (F(3), F(-3), F(7), F(19, 3), F(6, 5), F(11, 7))] + [
-    ParamPair(3, -2), ParamPair(2, -5), ParamPair(F(7, 2), F(5, 3)), ParamPair(3, F(2, 7)), ParamPair(-5, 5),
+    ParamPair(3, -2), ParamPair(2, -5), ParamPair(F(7, 2), F(5, 3)), ParamPair(3, F(2, 7)),
+    # [-1, 1] is D at (-1, 5), D**2 at (2, 6) and D**-2 at (3, -3) and (-5, 5)
+    ParamPair(-1, 5), ParamPair(2, 6), ParamPair(3, -3), ParamPair(-5, 5),
 ]
 
 
@@ -274,6 +277,48 @@ def test_identity_coset_rep_below_the_identity():
     wit = laxton_eq(identity_class(ctx), identity_class(ctx))
     assert wit is not None and wit.k == 0 and wit.scale == 1
     assert laxton_eq(d2, identity_class(ctx)).k == -2
+
+
+@pytest.mark.parametrize("ctx, j", [(ParamPair(-1, 5), 1), (ParamPair(2, 6), 2),
+                                    (ParamPair(3, -3), -2), (ParamPair(-5, 5), -2)])
+def test_minus_one_one_as_a_power_of_d(ctx, j):
+    """[-1, 1] = D**j in the three two-parameter families where it is a
+    D-power (T = -1, Q = T**2 + T, Q = -T): it is then the canonical
+    representative of <D>, of order 1, and each entry's witness holds."""
+    d, w = companion_class(ctx), GroupElement.from_pair(ctx, -1, 1)
+    assert d ** j == w
+    assert canonical_coset_rep(identity_class(ctx)) == w
+    assert laxton_order(w) == 1
+    for g, k in ((identity_class(ctx), 0), (w, j), (d ** 5, 5), (d ** -7, -7)):
+        e = _entry(g)
+        # g = D**k = rep * D**(k - j)
+        assert (e.element.rep, e.order, e.coset_witness_k) == (w, 1, k - j)
+        assert _find_d_power(g) == k
+
+
+def _two_walk_d_power(z):
+    """The rule a class's own walk replaced, as a reference: z = D**(k_1 - k)
+    when its canonical shift z*D**k equals the identity's, D**k_1."""
+    rep, k = seqlab.laxton._canonical_shift(z)
+    rep_1, k_1 = seqlab.laxton._canonical_shift(identity_class(z.ctx))
+    return k_1 - k if rep == rep_1 else None
+
+
+def test_d_power_from_one_walk_matches_the_two_walk_rule():
+    """On seeded classes, D-powers, their W-translates and the products of
+    both over every walk context, z's own walk gives the two-walk answer."""
+    rng = random.Random(2024)
+    hits = 0
+    for ctx in WALK_CONTEXTS:
+        d, w = companion_class(ctx), GroupElement.from_pair(ctx, -1, 1)
+        for _ in range(30):
+            x = _small_class(rng, ctx)
+            j = rng.randint(-9, 9)
+            for z in (x, d ** j, w * d ** j, x * d ** j, x * x.inverse()):
+                ref = _two_walk_d_power(z)
+                assert _find_d_power(z) == ref, (ctx, z)
+                hits += ref is not None
+    assert hits > 2 * 30 * len(WALK_CONTEXTS)
 
 
 @pytest.mark.parametrize("t, u, m", [(F(3), None, 1), (F(6, 5), None, 1), (F(11, 7), None, 1),
@@ -359,8 +404,9 @@ def test_xi_n_kernel_rejects_small_degree(n):
     assert str(err.value) == "kernel needs n >= 1, got %d" % n
 
 
-def test_laxton_order_walks_the_identity_once(monkeypatch):
-    """One laxton_order call walks the identity's coset once, not per power."""
+def test_laxton_order_walks_no_identity_over_one_parameter(monkeypatch):
+    """Over one parameter [-1, 1] is no D-power, so laxton_order decides
+    each power from that power's walk and never walks the identity."""
     walk = seqlab.laxton._canonical_shift
     calls = []
 
@@ -371,14 +417,16 @@ def test_laxton_order_walks_the_identity_once(monkeypatch):
     monkeypatch.setattr(seqlab.laxton, "_canonical_shift", counted)
     g = GroupElement.from_pair(T3, 1, 5)  # free: no power up to the bound is a D-power
     assert laxton_order(g, bound=24) is None
-    assert calls.count(True) == 1 and len(calls) > 12
+    # one walk per even power, whose det 11**k is a square, and none other
+    assert calls == [False] * 12
 
 
 @pytest.mark.parametrize("t, walks", [(F(11, 7), 32), (F(6, 5), 16), (F(47), 11)])
 def test_torsion_walks_the_identity_once_per_table(monkeypatch, t, walks):
     """A cubic, a circular primitive and a non-primitive (47 = C_4(3)) table
-    walk the identity's coset once, before the entries, and each entry
-    walks its g at most once, for its coset and its k = 1 step together."""
+    walk the identity's coset once, as the identity's own entry, and each
+    entry walks its g at most once, for its coset and its k = 1 step
+    together."""
     walk, entry = seqlab.laxton._canonical_shift, seqlab.laxton._entry
     log, spans = [], []
 
@@ -395,5 +443,5 @@ def test_torsion_walks_the_identity_once_per_table(monkeypatch, t, walks):
     identity = identity_class(ParamPair.one_param(t))
     assert log.count(identity) == 1
     for g, walked in spans:
-        assert walked.count(g) <= 1 and identity not in walked, (g, walked)
+        assert walked.count(g) <= 1 and walked.count(identity) == (g == identity), (g, walked)
     assert len(log) == walks

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from seqlab import lab, modp, primes as primes_module
-from seqlab.errors import ExcludedPrimeError, SingularElementError
+from seqlab.errors import DegenerateParameterError, ExcludedPrimeError, SingularElementError
 from seqlab.ring import ParamPair
 from seqlab.transforms import classify_cyclotomic
 from seqlab.group import GroupElement, class_c, class_v, class_w, companion_class, primitivity
@@ -402,15 +402,28 @@ def test_kernel_rejects_excluded_primes():
             divisor_flags([x], [7, p])
         with pytest.raises(ExcludedPrimeError):
             is_divisor(x, p)
-    with pytest.raises(ExcludedPrimeError):
-        divisor_table([GroupElement.from_pair(ParamPair(5, 3), 1, 4)], [7])
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda x: modp_reduce(x, 7), "mod-p reduction takes one-parameter classes"),
+    (lambda x: qr_filter(x, 7), "QR filter takes one-parameter classes"),
+    (lambda x: is_divisor(x, 7), "divisor test takes one-parameter classes"),
+    (lambda x: divisor_table([x], [7]), "divisor test takes one-parameter classes"),
+    (lambda x: gamma(x, PrimeWindow("first", 20)), "divisor sweeps take one-parameter classes"),
+], ids=["modp_reduce", "qr_filter", "is_divisor", "divisor_table", "gamma"])
+def test_two_parameter_classes_are_degenerate(entry, message):
+    """A class over (T, Q) with Q != 1 is outside every mod-p entry point's
+    domain, whatever the prime: the error names the parameter, not p."""
+    x = GroupElement.from_pair(ParamPair(3, 2), 1, 4)
+    with pytest.raises(DegenerateParameterError, match="^%s$" % message):
+        entry(x)
 
 
 def test_divisor_flags_parallel_equals_serial(monkeypatch):
     t = F(19, 3)
     elements = random_classes(random.Random(7), t, 3)
-    primes = [p for p in odd_primes_below(35_000) if in_admissible_set(t, p)]
-    assert len(primes) >= lab.POOL_MIN_PRIMES  # below that the serial path runs
+    primes = [p for p in odd_primes_below(238_000) if in_admissible_set(t, p)]
+    assert len(primes) >= lab.POOL_MIN_ROWS  # one t: below that the serial path runs
     # four CPUs to run on, so a one-CPU runner still pools; the pool is held
     # here, so only an explicit stop ends its workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)

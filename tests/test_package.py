@@ -106,7 +106,7 @@ def test_a_window_pickles_as_its_mode_and_size():
 def test_pooled_table3_reports_carry_no_window_primes(monkeypatch):
     """The rows run on a pool, and the reports sent back hold their window
     as its mode and size, not a copy of its primes."""
-    window = lab.PrimeWindow("first", lab.POOL_MIN_PRIMES)
+    window = lab.PrimeWindow("first", lab.POOL_MIN_ROWS // len(lab.TABLE3_ROWS))
     starts, real_pool = [], multiprocessing.get_context().Pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", lambda n: starts.append(n) or real_pool(n))
