@@ -137,6 +137,10 @@ def cmd_seq(args: argparse.Namespace) -> Output:
     ctx = _context(args)
     x = make_element(ctx, *args.x)
     lo, hi = args.range
+    # the end terms come from two powerings, so a span with an unprintable
+    # end fails here, before its terms are computed
+    format_rational(x.term(lo))
+    format_rational(x.term(hi))
     terms = [[n, format_rational(v)] for n, v in zip(range(lo, hi + 1), x.terms(lo, hi + 1))]
     payload = {
         "context": ctx.to_dict(),

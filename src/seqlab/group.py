@@ -6,8 +6,9 @@ exactly one reduced representative: a coprime integer pair [a0, a1] with
 a1 > 0, or a1 = 0 and a0 > 0.  All group arithmetic happens on these
 representatives, in the integers (L, L*T, L*Q) the context clears once
 (`ParamPair.cleared`, L the least common denominator of T and Q): products,
-inverses, and the determinant tests through the integer L*det.  Only
-`from_pair` validates (products of nonsingular classes are nonsingular).
+through the ring's one integer product `ring._row_product`, inverses, and
+the determinant tests through the integer L*det.  Only `from_pair`
+validates (products of nonsingular classes are nonsingular).
 
 The layer enforces the parameter exclusion t not in {0, +-1, +-2} (for a
 two-parameter context the equivalent condition on T**2/Q - 2): at the
@@ -26,7 +27,7 @@ from typing import List, Optional, Tuple
 from . import primes as _primes
 from .errors import ContextMismatchError, DegenerateParameterError, InvariantError, SingularElementError
 from .rational import divisors, iroot, is_rational_square, rational_sqrt
-from .ring import ParamPair, RationalLike, RingElement, binpow, _frac
+from .ring import ParamPair, RationalLike, RingElement, binpow, _frac, _row_product
 from .transforms import check_parameter, classify_cyclotomic
 
 
@@ -76,10 +77,7 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("elements over %r and %r" % (self.ctx, other.ctx))
-        L, LT, LQ = self.ctx.cleared
-        x0, x1, y0, y1 = self.a0, self.a1, other.a0, other.a1
-        p = x0 * y0
-        return _reduced(self.ctx, L * (x1 * y0 + x0 * y1) - LT * p, L * x1 * y1 - LQ * p)
+        return _reduced(self.ctx, *_row_product(self.ctx.cleared, self.a0, self.a1, other.a0, other.a1))
 
     def inverse(self) -> "GroupElement":
         """The class of the conjugate (det X) * X**-1."""
@@ -95,11 +93,17 @@ class GroupElement:
 
 
 def _reduced(ctx: ParamPair, a0: int, a1: int) -> GroupElement:
-    """The class of the nonzero integer pair [a0, a1]: coprime, with the sign rule."""
+    """The class of the nonzero integer pair [a0, a1]."""
+    return GroupElement(ctx, *_reduced_pair(a0, a1))
+
+
+def _reduced_pair(a0: int, a1: int) -> Tuple[int, int]:
+    """The reduced representative of the nonzero integer pair [a0, a1]:
+    coprime, with the sign rule."""
     g = gcd(a0, a1)
     if a1 < 0 or (a1 == 0 and a0 < 0):
         g = -g
-    return GroupElement(ctx, a0 // g, a1 // g)
+    return a0 // g, a1 // g
 
 
 def _cleared_det(g: GroupElement) -> int:

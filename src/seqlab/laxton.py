@@ -4,9 +4,12 @@ Quotienting the sequence group by the cyclic subgroup generated by the
 companion class D identifies a sequence with all of its shifts.  Each coset
 gets a canonical representative, the shift of least (height, a0, a1), found
 by one bounded walk (shift heights grow without bound both ways) on the
-context's cleared integers.  It makes coset objects hashable and
-structurally comparable, and decides coset equality: X and Y share a coset
-iff X*Y^{-1} is a D-power, which the walk of X*Y^{-1} alone settles (see
+context's cleared integers: each step is the package's one integer row
+product (`ring._row_product`) and the group's reduction on the raw pair,
+and only the result is built as a class.  The representative makes coset
+objects hashable and structurally comparable, and decides coset equality:
+X and Y share a coset iff X*Y^{-1} is a D-power, which the walk of
+X*Y^{-1} alone settles (see
 `_d_power_at`).  The identity is walked only where [-1, 1] may be a
 D-power, over two parameters, and as a torsion table's own identity entry.
 """
@@ -19,12 +22,13 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateParameterError, InvariantError
 from .rational import format_rational, is_rational_square
-from .ring import ParamPair, RationalLike, companion, u_pair, _frac
+from .ring import ParamPair, RationalLike, companion, u_pair, _frac, _row_product
 from .transforms import classify_cyclotomic, phi_inverse, phi_r
 from .group import (
     GroupElement,
     _has_square_det,
     _reduced,
+    _reduced_pair,
     check_group_context,
     class_c,
     class_w,
@@ -147,23 +151,29 @@ def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
     in a finite window; the walk goes one product per step each way and
     stops once heights have exceeded the current best for several
     consecutive steps.  The step D = [1, T] is the cleared pair [L, LT];
-    g's context was validated when g was built.
+    g's context was validated when g was built.  Each step is the class
+    product (`ring._row_product`, then `group._reduced_pair`) on the raw
+    pair; a GroupElement is built for the result only.
     """
-    L, LT, _ = g.ctx.cleared
-    d = _reduced(g.ctx, L, LT)
-    best, best_k = g, 0
+    c = g.ctx.cleared
+    d = _reduced(g.ctx, c[0], c[1])
+    best = (g.height, g.a0, g.a1)
+    best_k = 0
     for step, direction in ((d, 1), (d.inverse(), -1)):
-        cur, k, exceed = g, 0, 0
+        s0, s1 = step.a0, step.a1
+        a0, a1, k, exceed = g.a0, g.a1, 0, 0
         while exceed < _HEIGHT_PATIENCE:
-            cur, k = cur * step, k + direction
-            if (cur.height, cur.a0, cur.a1) < (best.height, best.a0, best.a1):
+            a0, a1 = _reduced_pair(*_row_product(c, a0, a1, s0, s1))
+            k += direction
+            cur = (max(a1, abs(a0)), a0, a1)
+            if cur < best:
                 best, best_k = cur, k
                 exceed = 0
-            elif cur.height > best.height:
+            elif cur[0] > best[0]:
                 exceed += 1
             else:
                 exceed = 0
-    return best, best_k
+    return GroupElement(g.ctx, best[1], best[2]), best_k
 
 
 def laxton_order(g: GroupElement, bound: int = 24) -> Optional[int]:

@@ -45,7 +45,8 @@ def format_rational(x: Fraction) -> str:
 
     Raises SeqLabError past the number of digits Python prints of an int.
     """
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     try:
         if x.denominator == 1:
             return str(x.numerator)

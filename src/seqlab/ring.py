@@ -21,14 +21,26 @@ is a polynomial in the rows of X and Y, D^n is the element with row
 [U_n, U_{n+1}], and every power, D^n and the Chebyshev values among them,
 comes from the one square-and-multiply routine `binpow`.  The full matrix
 is only ever built on request (`RingElement.matrix`).
+
+Products run in integers.  A context clears once to (L, L*T, L*Q), L the
+least common denominator of T and Q (`ParamPair.cleared`), and a row is
+held as integers [a0, a1] over one tracked denominator d.  `_row_product`
+is the one product of the package: ring products, inverses and powers
+here, the class products of the group layer and the Laxton walk all
+call it.  A power divides out the common content of its row after every
+step, by gcds against the known denominators only (L and the base's d,
+never factored), and a `Fraction` is built once per returned coordinate.
+`RingElement` keeps its `Fraction` fields, and `terms` runs its recurrence
+on them: per term, an integer loop saves little on short spans and loses
+on long ones, where each term's `Fraction` takes a full-size gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Tuple, TypeVar, Union
 
 from .errors import ContextMismatchError, InvalidContextError, SingularElementError
@@ -38,6 +50,8 @@ RationalLike = Union[Fraction, int, str]
 Matrix2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
 _E = TypeVar("_E")
+
+_ONE = Fraction(1)
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -82,10 +96,8 @@ class ParamPair:
     @cached_property
     def cleared(self) -> Tuple[int, int, int]:
         """(L, L*T, L*Q) for the least common denominator L > 0 of T and Q:
-        the integers the group layer computes on, found once per context."""
-        T, Q = self.T, self.Q
-        L = lcm(T.denominator, Q.denominator)
-        return L, T.numerator * (L // T.denominator), Q.numerator * (L // Q.denominator)
+        the integers every product computes on, found once per context."""
+        return _clear(self.T, self.Q)
 
     def to_dict(self) -> dict:
         if self.is_one_param:
@@ -112,32 +124,77 @@ def binpow(mul: Callable[[_E, _E], _E], one: _E, x: _E, n: int) -> _E:
     return out
 
 
-Row = Tuple[Fraction, Fraction]
+Cleared = Tuple[int, int, int]
+
+# An integer row (a0, a1, d), d > 0: the second row [a0/d, a1/d].
+IntRow = Tuple[int, int, int]
 
 
-def _row_mul(T: Fraction, Q: Fraction, x: Row, y: Row) -> Row:
-    """The second row of X*Y from the second rows of X and Y over (T, Q)."""
-    p = x[0] * y[0]
-    return x[1] * y[0] + x[0] * y[1] - T * p, x[1] * y[1] - Q * p
+def _clear(T: Fraction, Q: Fraction) -> Cleared:
+    """(L, L*T, L*Q) for the least common denominator L > 0 of T and Q."""
+    L = lcm(T.denominator, Q.denominator)
+    return L, T.numerator * (L // T.denominator), Q.numerator * (L // Q.denominator)
 
 
-def _u_row(T: Fraction, Q: Fraction, n: int) -> Row:
-    """The second row (U_n, U_{n+1}) of D^n for any integer n.
+def _row_product(c: Cleared, x0: int, x1: int, y0: int, y1: int) -> Tuple[int, int]:
+    """L*dx*dy times the second row of X*Y, for the rows [x0, x1]/dx of X and
+    [y0, y1]/dy of Y over the context cleared to c = (L, L*T, L*Q).
 
-    D has row (1, T) and D^-1 has row (-1/Q, 0).  No ParamPair is built,
-    so Chebyshev values stay defined at every t, excluded ones included.
+    A square (the same row objects twice, as in a power's squaring step)
+    takes three multiplications, and each x*x stays a square for CPython.
     """
-    d = (Fraction(1), T) if n >= 0 else (Fraction(-1) / Q, Fraction(0))
-    return binpow(partial(_row_mul, T, Q), (Fraction(0), Fraction(1)), d, abs(n))
+    L, LT, LQ = c
+    p = x0 * y0
+    s = 2 * (x0 * x1) if x0 is y0 and x1 is y1 else x1 * y0 + x0 * y1
+    return L * s - LT * p, L * (x1 * y1) - LQ * p
 
 
-def u_pair(ctx: ParamPair, n: int) -> Row:
+def _row_pow(c: Cleared, base: IntRow, n: int) -> IntRow:
+    """base**n for n >= 0, with the content of every step divided out.
+
+    Every denominator met is a product of L and the base's d, so the content
+    g of a product is the gcd of its row, its denominator and powers of
+    known = L*d.  gcd(known, ...) takes g's part below known's multiplicity,
+    and any rest is made of g's primes, hence gcd(g, ...) finds it: small
+    gcds against big integers, linear in their size.
+    """
+    L = c[0]
+    known = L * base[2]
+
+    def mul(x: IntRow, y: IntRow) -> IntRow:
+        a0, a1 = _row_product(c, x[0], x[1], y[0], y[1])
+        d = L * x[2] * y[2]
+        g = gcd(known, d, a0, a1)
+        while g > 1:
+            a0, a1, d = a0 // g, a1 // g, d // g
+            g = gcd(g, d, a0, a1)
+        return a0, a1, d
+
+    return binpow(mul, (0, 1, 1), base, n)
+
+
+def _d_power_row(c: Cleared, n: int) -> IntRow:
+    """The integer row of D**n for any integer n: D has the row [L, L*T]/L
+    and D**-1 the row [-1/Q, 0] = [-L, 0]/(L*Q)."""
+    L, LT, LQ = c
+    if n >= 0:
+        g = gcd(L, LT)
+        return _row_pow(c, (L // g, LT // g, L // g), n)
+    g = gcd(L, LQ) if LQ > 0 else -gcd(L, LQ)
+    return _row_pow(c, (-L // g, 0, LQ // g), -n)
+
+
+def _fractions(a0: int, a1: int, d: int) -> Tuple[Fraction, Fraction]:
+    return Fraction(a0, d), Fraction(a1, d)
+
+
+def u_pair(ctx: ParamPair, n: int) -> Tuple[Fraction, Fraction]:
     """(U_n, U_{n+1}) for the fundamental solution U_0 = 0, U_1 = 1.
 
     D^n = [[-Q*U_{n-1}, -Q*U_n], [U_n, U_{n+1}]], so the pair is the second
     row of D^n.
     """
-    return _u_row(ctx.T, ctx.Q, n)
+    return _fractions(*_d_power_row(ctx.cleared, n))
 
 
 @dataclass(frozen=True)
@@ -174,11 +231,24 @@ class RingElement:
 
     # -- the carried sequence ---------------------------------------------
 
+    @property
+    def _row(self) -> IntRow:
+        """The integer row (a0, a1, d) with d the least common denominator."""
+        x0, x1 = self.x0, self.x1
+        d = lcm(x0.denominator, x1.denominator)
+        return x0.numerator * (d // x0.denominator), x1.numerator * (d // x1.denominator), d
+
+    def _times(self, y: IntRow) -> IntRow:
+        """The row of self*Y for Y's integer row y, over L*d*dy."""
+        c = self.ctx.cleared
+        a0, a1, d = self._row
+        return (*_row_product(c, a0, a1, y[0], y[1]), c[0] * d * y[2])
+
     def term(self, n: int) -> Fraction:
-        """x_n, exactly, for any integer n (binary powering of D)."""
-        un, un1 = u_pair(self.ctx, n)
-        # x_n = U_n*x1 - Q*U_{n-1}*x0 and Q*U_{n-1} = T*U_n - U_{n+1}
-        return un * self.x1 - (self.ctx.T * un - un1) * self.x0
+        """x_n, exactly, for any integer n: the first entry of the row of
+        X*D**n (binary powering of D)."""
+        a0, _, d = self._times(_d_power_row(self.ctx.cleared, n))
+        return Fraction(a0, d)
 
     def terms(self, start: int, stop: int) -> Tuple[Fraction, ...]:
         """x_n for start <= n < stop, via one powering then the recursion."""
@@ -193,7 +263,7 @@ class RingElement:
 
     def shift(self, k: int) -> "RingElement":
         """X*D^k, i.e. the carried sequence shifted by k."""
-        return RingElement(self.ctx, self.term(k), self.term(k + 1))
+        return RingElement(self.ctx, *_fractions(*self._times(_d_power_row(self.ctx.cleared, k))))
 
     # -- ring operations ----------------------------------------------------
 
@@ -215,18 +285,27 @@ class RingElement:
     def __mul__(self, other: Union["RingElement", RationalLike]) -> "RingElement":
         if isinstance(other, RingElement):
             self._check(other)
-            x0, x1 = _row_mul(self.ctx.T, self.ctx.Q, (self.x0, self.x1), (other.x0, other.x1))
-            return RingElement(self.ctx, x0, x1)
+            return RingElement(self.ctx, *_fractions(*self._times(other._row)))
         return RingElement(self.ctx, _frac(other) * self.x0, _frac(other) * self.x1)
 
     def __rmul__(self, other: RationalLike) -> "RingElement":
         return self.__mul__(other)
 
     def inverse(self) -> "RingElement":
-        d = self.det
-        if d == 0:
+        return RingElement(self.ctx, *_fractions(*self._inverse_row()))
+
+    def _inverse_row(self) -> IntRow:
+        """The integer row of X**-1 = conj(X)/det X.  With X = [a0, a1]/d,
+        conj(X) = [-L*a0, L*a1 - L*T*a0]/(L*d) and det X = Ldet/(L*d**2), so
+        X**-1 = d*[-L*a0, L*a1 - L*T*a0]/Ldet."""
+        L, LT, LQ = self.ctx.cleared
+        a0, a1, d = self._row
+        det = L * a1 * a1 - LT * a0 * a1 + LQ * a0 * a0
+        if det == 0:
             raise SingularElementError("element [%s, %s] has det 0" % (self.x0, self.x1))
-        return RingElement(self.ctx, -self.x0 / d, (self.x1 - self.ctx.T * self.x0) / d)
+        if det < 0:
+            det, d = -det, -d
+        return -L * a0 * d, (L * a1 - LT * a0) * d, det
 
     def conjugate(self) -> "RingElement":
         """(det X) * X^{-1}; carries the sequence {-Q^n x_{-n}}."""
@@ -235,10 +314,8 @@ class RingElement:
         return RingElement(self.ctx, -self.x0, self.x1 - self.ctx.T * self.x0)
 
     def __pow__(self, n: int) -> "RingElement":
-        base = self if n >= 0 else self.inverse()
-        mul = partial(_row_mul, self.ctx.T, self.ctx.Q)
-        x0, x1 = binpow(mul, (Fraction(0), Fraction(1)), (base.x0, base.x1), abs(n))
-        return RingElement(self.ctx, x0, x1)
+        base = self._row if n >= 0 else self._inverse_row()
+        return RingElement(self.ctx, *_fractions(*_row_pow(self.ctx.cleared, base, abs(n))))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "[%s, %s] over (%s, %s)" % (self.x0, self.x1, self.ctx.T, self.ctx.Q)
@@ -280,13 +357,18 @@ def elem_v(ctx: ParamPair) -> RingElement:
 
 
 def chebyshev_u(t: RationalLike, n: int) -> Fraction:
-    """U_n(t): U_0 = 0, U_1 = 1, U_{n+1} = t*U_n - U_{n-1}; U_{-n} = -U_n."""
-    return _u_row(_frac(t), 1, n)[0]
+    """U_n(t): U_0 = 0, U_1 = 1, U_{n+1} = t*U_n - U_{n-1}; U_{-n} = -U_n.
+
+    No ParamPair is built, so the value stays defined at every t, excluded
+    ones included.
+    """
+    u0, _, d = _d_power_row(_clear(_frac(t), _ONE), n)
+    return Fraction(u0, d)
 
 
 def chebyshev_c(t: RationalLike, n: int) -> Fraction:
     """C_n(t) = trace of D_t^n: C_0 = 2, C_1 = t, same recursion; C_{-n} = C_n."""
-    t = _frac(t)
-    un, un1 = _u_row(t, 1, n)
-    # C_n = U_{n+1} - U_{n-1} and U_{n-1} = t*U_n - U_{n+1}
-    return 2 * un1 - t * un
+    c = _clear(_frac(t), _ONE)
+    u0, u1, d = _d_power_row(c, n)
+    # C_n = U_{n+1} - U_{n-1} and U_{n-1} = t*U_n - U_{n+1}, with t = LT/L
+    return Fraction(2 * c[0] * u1 - c[1] * u0, c[0] * d)

@@ -400,6 +400,18 @@ def test_seq_term_past_the_int_printing_limit_is_a_domain_error(capsys, fmt):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("span", ["0..100000", "-100000..0"])
+def test_seq_span_with_an_unprintable_end_fails_at_once(capsys, span):
+    """At t = 3/2 the terms pass the printing limit from n = 14 286 on (and
+    below -14 286), so the request fails on its end term, before the span of
+    100 001 terms is computed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "seq", "--t", "3/2", "--x", "1,1", "--range", span)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: value has too many digits to print\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--t", "3"],
     ["laxton-eq", "--t", "3", "--x", "2,9", "--y", "25,66"],

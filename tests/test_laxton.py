@@ -1,7 +1,9 @@
 """Laxton quotient: shift-equivalence with exact witnesses, canonical coset
 representatives, torsion tables, and the quotient homomorphisms."""
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ import seqlab.group
 import seqlab.laxton
 from seqlab.errors import DegenerateParameterError
 from seqlab.rational import is_rational_square
-from seqlab.ring import ParamPair, chebyshev_c, chebyshev_u
+from seqlab.ring import ParamPair, chebyshev_c, chebyshev_u, make_element, u_pair
 from seqlab.group import (
     GroupElement,
     class_c,
@@ -302,6 +304,67 @@ def _two_walk_d_power(z):
     rep, k = seqlab.laxton._canonical_shift(z)
     rep_1, k_1 = seqlab.laxton._canonical_shift(identity_class(z.ctx))
     return k_1 - k if rep == rep_1 else None
+
+
+def _group_element_walk(g):
+    """The walk on GroupElement products, as a reference for the walk on
+    raw pairs: the same steps, order and stop."""
+    d = companion_class(g.ctx)
+    best, best_k = g, 0
+    for step, direction in ((d, 1), (d.inverse(), -1)):
+        cur, k, exceed = g, 0, 0
+        while exceed < seqlab.laxton._HEIGHT_PATIENCE:
+            cur, k = cur * step, k + direction
+            if (cur.height, cur.a0, cur.a1) < (best.height, best.a0, best.a1):
+                best, best_k = cur, k
+                exceed = 0
+            elif cur.height > best.height:
+                exceed += 1
+            else:
+                exceed = 0
+    return best, best_k
+
+
+def test_integer_walk_matches_the_group_element_walk():
+    """On seeded classes, D-powers, their W-translates and shifts over every
+    walk context, the walk on raw pairs returns the reference's (rep, k)."""
+    rng = random.Random(2110)
+    for ctx in WALK_CONTEXTS:
+        d, w = companion_class(ctx), GroupElement.from_pair(ctx, -1, 1)
+        for _ in range(30):
+            x = _small_class(rng, ctx)
+            j = rng.randint(-40, 40)
+            for z in (x, d ** j, w * d ** j, x * d ** j, x.inverse()):
+                assert seqlab.laxton._canonical_shift(z) == _group_element_walk(z), (ctx, z)
+
+
+def _fraction_arithmetic(fn):
+    """The Fraction arithmetic methods (_mul, _add, _sub, _div) fn() calls."""
+    calls = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in ("_mul", "_add", "_sub", "_div"):
+            calls.append(code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_powers_and_the_walk_do_no_fraction_arithmetic():
+    """u_pair, ring powers and the Laxton walk run on the integer row
+    product and build a Fraction only for what they return."""
+    assert _fraction_arithmetic(lambda: F(1, 2) * F(1, 3) + F(1, 5)) == ["_mul", "_add"]
+    for ctx in (T3, ParamPair.one_param(F(19, 3)), ParamPair(F(7, 5), F(-3, 4))):
+        x = make_element(ctx, F(2, 3), F(-5, 7))
+        g = GroupElement.from_pair(ctx, F(2, 3), F(-5, 7)) * companion_class(ctx) ** 25
+        for fn in (lambda: u_pair(ctx, 500), lambda: u_pair(ctx, -500), lambda: x ** 200, lambda: x ** -200,
+                   lambda: seqlab.laxton._canonical_shift(g)):
+            assert _fraction_arithmetic(fn) == [], ctx
 
 
 def test_d_power_from_one_walk_matches_the_two_walk_rule():

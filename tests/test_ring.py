@@ -268,3 +268,102 @@ def test_square_formula(ctx, data):
     sq = x * x
     T, Q = ctx.T, ctx.Q
     assert (sq.x0, sq.x1) == (x.x0 * (2 * x.x1 - T * x.x0), x.x1 ** 2 - Q * x.x0 ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer row product against literal Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _fraction_row_mul(T, Q, x, y):
+    """The second row of X*Y over (T, Q), in Fractions."""
+    p = x[0] * y[0]
+    return x[1] * y[0] + x[0] * y[1] - T * p, x[1] * y[1] - Q * p
+
+
+def _fraction_pow(T, Q, x, n):
+    """x**n for n >= 0 by Fraction square and multiply (for |n| = 1000,
+    where a term-by-term recursion over 30-digit denominators is slow)."""
+    out = (Fraction(0), Fraction(1))
+    for bit in bin(n)[2:]:
+        out = _fraction_row_mul(T, Q, out, out)
+        if bit == "1":
+            out = _fraction_row_mul(T, Q, out, x)
+    return out
+
+
+def _fraction_inverse(T, Q, x):
+    det = x[1] * x[1] - T * x[0] * x[1] + Q * x[0] * x[0]
+    return -x[0] / det, (x[1] - T * x[0]) / det
+
+
+DIFFERENTIAL_CONTEXTS = [
+    ParamPair(3, 1),  # L = 1
+    ParamPair.one_param(Fraction(19, 3)),
+    ParamPair(Fraction(7, 5), Fraction(-3, 4)),
+    ParamPair(Fraction(9, 2), Fraction(7, 3)),
+    ParamPair(Fraction(3 * 10**29 + 1, 10**29 + 7), Fraction(-5, 7)),  # a 30-digit denominator
+]
+DIFFERENTIAL_N = list(range(-60, 61)) + [-1000, 1000]
+
+
+def _u_reference(T, Q):
+    """{n: (U_n, U_{n+1})} over DIFFERENTIAL_N: the recursion for |n| <= 60,
+    Fraction powering of the rows [1, T] and [-1/Q, 0] at +-1000."""
+    u = brute_terms(T, Q, 0, 1, -61, 62)
+    ref = {n: (u[n + 61], u[n + 62]) for n in range(-60, 61)}
+    ref[1000] = _fraction_pow(T, Q, (Fraction(1), T), 1000)
+    ref[-1000] = _fraction_pow(T, Q, (-1 / Q, Fraction(0)), 1000)
+    return ref
+
+
+@pytest.mark.parametrize("ctx", DIFFERENTIAL_CONTEXTS)
+def test_u_pair_and_chebyshev_match_fraction_recurrences(ctx):
+    T, Q = ctx.T, ctx.Q
+    ref = _u_reference(T, Q)
+    for n in DIFFERENTIAL_N:
+        assert u_pair(ctx, n) == ref[n], n
+    # Chebyshev values are the (T, 1) rows: C_n = U_{n+1} - U_{n-1}
+    one = _u_reference(T, Fraction(1))
+    c = brute_terms(T, 1, 2, T, -60, 60)
+    for n in DIFFERENTIAL_N:
+        un, un1 = one[n]
+        assert chebyshev_u(T, n) == un, n
+        assert chebyshev_c(T, n) == (c[n + 60] if abs(n) <= 60 else 2 * un1 - T * un), n
+
+
+@pytest.mark.parametrize("ctx", DIFFERENTIAL_CONTEXTS)
+def test_terms_and_powers_match_fraction_recurrences(ctx):
+    T, Q = ctx.T, ctx.Q
+    ref = _u_reference(T, Q)
+    for x in (make_element(ctx, 1, 2), make_element(ctx, Fraction(2, 3), Fraction(-5, 7))):
+        row = (x.x0, x.x1)
+        seq = brute_terms(T, Q, x.x0, x.x1, -60, 60)
+        inv = _fraction_inverse(T, Q, row)
+        assert (x.inverse().x0, x.inverse().x1) == inv
+        up, down = (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))
+        for n in range(61):
+            assert x.term(n) == seq[n + 60] and x.term(-n) == seq[60 - n], n
+            assert ((x ** n).x0, (x ** n).x1) == up, n
+            assert ((x ** -n).x0, (x ** -n).x1) == down, -n
+            up, down = _fraction_row_mul(T, Q, up, row), _fraction_row_mul(T, Q, down, inv)
+        for n in (1000, -1000):
+            assert x.term(n) == _fraction_row_mul(T, Q, row, ref[n])[0], n
+            power = _fraction_pow(T, Q, row if n > 0 else inv, 1000)
+            assert ((x ** n).x0, (x ** n).x1) == power, n
+            shifted = x.shift(n)
+            assert (shifted.x0, shifted.x1) == _fraction_row_mul(T, Q, row, ref[n]), n
+
+
+@pytest.mark.parametrize("ctx", DIFFERENTIAL_CONTEXTS)
+def test_products_and_inverses_match_fraction_arithmetic(ctx):
+    """Products and inverses of small elements and of powers up to 37."""
+    T, Q = ctx.T, ctx.Q
+    base = [make_element(ctx, a, b) for a, b in ((1, 2), (Fraction(2, 3), Fraction(-5, 7)), (-3, Fraction(1, 4)), (0, 5))]
+    pool = base + [x ** n for x in base[:3] for n in (5, 37, -11)]
+    for x in pool:
+        for y in pool:
+            assert ((x * y).x0, (x * y).x1) == _fraction_row_mul(T, Q, (x.x0, x.x1), (y.x0, y.x1))
+        assert (x.inverse().x0, x.inverse().x1) == _fraction_inverse(T, Q, (x.x0, x.x1))
+    with pytest.raises(SingularElementError):
+        make_element(ctx, 0, 0).inverse()
