@@ -3,14 +3,15 @@
 Quotienting the sequence group by the cyclic subgroup generated by the
 companion class D identifies a sequence with all of its shifts.  Each coset
 gets a canonical representative, the shift of least (height, a0, a1), found
-by one bounded walk (shift heights grow without bound both ways) on the
-context's cleared integers: each step is the package's one integer row
-product (`ring._row_product`) and the group's reduction on the raw pair,
-and only the result is built as a class.  The representative makes coset
-objects hashable and structurally comparable, and decides coset equality:
-X and Y share a coset iff X*Y^{-1} is a D-power, which the walk of
-X*Y^{-1} alone settles (see
-`_d_power_at`).  The identity is walked only where [-1, 1] may be a
+by one walk on the context's cleared integers: each step is the package's
+one integer row product (`ring._row_product`) and the group's reduction on
+the raw pair, only the result is built as a class, and each direction
+stops on a height margin from (L, LT, LQ) past which no shift can come
+back down (the Weil-height bound in `_canonical_shift`), so the walk
+returns the exact minimum.  The representative makes coset objects
+hashable and structurally comparable, and decides coset equality: X and Y
+share a coset iff X*Y^{-1} is a D-power, which the walk of X*Y^{-1} alone
+settles (see `_d_power_at`).  The identity is walked only where [-1, 1] may be a
 D-power, over two parameters, and as a torsion table's own identity entry.
 """
 
@@ -39,12 +40,6 @@ from .group import (
     reduce_element,
     torsion_l,
 )
-
-# Stop a height-bounded shift search only after the target height has been
-# exceeded this many consecutive steps; heights of reduced D-powers grow
-# geometrically but may wobble at the very start.
-_HEIGHT_PATIENCE = 3
-
 
 class LaxtonWitness(NamedTuple):
     """Certificate for X = scale * Y * D**k."""
@@ -87,8 +82,10 @@ def _d_power_at(rep: GroupElement, k: int) -> Optional[int]:
     """The j with z = class(D**j), or None, given z's canonical shift
     rep = z*D**k.
 
-    rep = [0, 1] gives z = D**-k, whatever the walk's stop rule did.  A
-    D-power z has the canonical shift of <D>, and that is [0, 1] or [-1, 1]:
+    rep = [0, 1] gives z = D**-k.  The "no" answers rest on the walk
+    returning the exact minimum of the coset (`_canonical_shift` proves its
+    stop): a D-power z has the canonical shift of <D>, which is [0, 1] or
+    [-1, 1]:
     the reduced pairs of height 1 are [-1, 1], [0, 1], [1, 0] and [1, 1],
     and only [-1, 1] has a smaller (height, a0, a1) than the identity.
     Over one parameter [-1, 1] is W, and W**2 is the class of D**-1, so
@@ -147,32 +144,60 @@ def canonical_coset_rep(g: GroupElement) -> GroupElement:
 def _canonical_shift(g: GroupElement) -> Tuple[GroupElement, int]:
     """(g*D**k, k) for the shift of g of least (height, a0, a1).
 
-    Shift heights grow without bound in both directions, so the minimum sits
-    in a finite window; the walk goes one product per step each way and
-    stops once heights have exceeded the current best for several
-    consecutive steps.  The step D = [1, T] is the cleared pair [L, LT];
-    g's context was validated when g was built.  Each step is the class
-    product (`ring._row_product`, then `group._reduced_pair`) on the raw
-    pair; a GroupElement is built for the result only.
+    The walk goes one product per step each way and stops a direction at
+    the first height above M times the best height so far, for
+    M = (2L + |LT| + |LQ|)**2 from the context's cleared (L, LT, LQ).  The
+    step D = [1, T] is the cleared pair [L, LT]; g's context was validated
+    when g was built.  Each step is the class product (`ring._row_product`,
+    then `group._reduced_pair`) on the raw pair; a GroupElement is built
+    for the result only.
+
+    Why the stop is exact (Weil heights; Bombieri and Gubler 2006,
+    "Heights in Diophantine Geometry", 1.5-1.6).  g*D**k has the second
+    row [x_k, x_{k+1}] of g's sequence, so its height H_k, the height of
+    its reduced pair, is the Weil height of [x_k : x_{k+1}].  Over
+    K = Q(lambda), lambda and mu the roots of z**2 - T*z + Q,
+    x_k = alpha*lambda**k + beta*mu**k (alpha*beta != 0 as g is
+    nonsingular) and (x_k, x_{k+1}) = (alpha*lambda**k, beta*mu**k) * A
+    with A = [[1, lambda], [1, mu]], det A = mu - lambda != 0.  At each
+    place w, log max(|alpha*lambda**k|_w, |beta*mu**k|_w) is a maximum of
+    two affine functions of k, so their weighted sum F(k) is convex.  The
+    norms of A and A**-1 at each w give F - a <= log H_k <= F + b.  At a
+    finite place both are at most max(1, |lambda|_w) * max(1, |mu|_w),
+    which is 1/|L|_w by Gauss's lemma on L*z**2 - LT*z + LQ (content 1, as
+    L is the least common denominator), times 1/|lambda - mu|_w for
+    A**-1; at the infinite places the column sums give
+    max(2, |lambda| + |mu|) for A and (1 + rho)/|lambda - mu| for A**-1,
+    rho = max(|lambda|, |mu|).  The |lambda - mu| factors cancel by the
+    product formula, leaving
+    e**(a + b) <= L**2 * max(2, |lambda| + |mu|) * (1 + rho).  As
+    |lambda| + |mu| <= |T| + 2*sqrt|Q| and rho <= |T| + sqrt|Q|, both
+    factors are at most 2 + |T| + |Q|, so e**(a + b) <= M.  Now let
+    H_j > M*H_i for a shift i visited before j.  Then
+    F(j) >= log H_j - b > log H_i + a >= F(i), so by convexity
+    F(j') >= F(j) for every j' past j, and
+    log H_j' >= F(j') - a > log H_i: no shift past j reaches H_i, nor ties
+    it.  The best shift so far is such an i, so the stop is exact.  Each
+    direction ends: F grows like |k| * h(lambda/mu), and lambda/mu is no
+    root of unity (Kronecker) for a split parameter outside
+    {0, +-1, +-2}, which `group.check_group_context` enforces.
     """
-    c = g.ctx.cleared
-    d = _reduced(g.ctx, c[0], c[1])
+    L, LT, LQ = c = g.ctx.cleared
+    margin = (2 * L + abs(LT) + abs(LQ)) ** 2
+    d = _reduced(g.ctx, L, LT)
     best = (g.height, g.a0, g.a1)
-    best_k = 0
+    best_k, limit = 0, margin * best[0]
     for step, direction in ((d, 1), (d.inverse(), -1)):
         s0, s1 = step.a0, step.a1
-        a0, a1, k, exceed = g.a0, g.a1, 0, 0
-        while exceed < _HEIGHT_PATIENCE:
+        a0, a1, k = g.a0, g.a1, 0
+        while True:
             a0, a1 = _reduced_pair(*_row_product(c, a0, a1, s0, s1))
             k += direction
             cur = (max(a1, abs(a0)), a0, a1)
             if cur < best:
-                best, best_k = cur, k
-                exceed = 0
-            elif cur[0] > best[0]:
-                exceed += 1
-            else:
-                exceed = 0
+                best, best_k, limit = cur, k, margin * cur[0]
+            elif cur[0] > limit:
+                break
     return GroupElement(g.ctx, best[1], best[2]), best_k
 
 

@@ -109,6 +109,13 @@ def test_laxton_eq(capsys):
     assert "not equivalent" in out
 
 
+def test_laxton_eq_finds_a_deep_shift_over_two_parameters(capsys):
+    # [-27793, 59470] is [9, 8]*D**-22 over (T, Q) = (-3, 6)
+    code, out, _ = run(capsys, "laxton-eq", "--T", "-3", "--Q", "6", "--x", "-27793,59470", "--y", "9,8")
+    assert code == 0
+    assert out == "equivalent: x = -743008370688 * D^-22 * y\n"
+
+
 def test_divisors_text_and_negative_pair(capsys):
     code, out, _ = run(capsys, "divisors", "--t", "3", "--x", "-1,1", "--primes", "20")
     assert code == 0

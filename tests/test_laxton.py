@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import seqlab.group
 import seqlab.laxton
 from seqlab.errors import DegenerateParameterError
-from seqlab.rational import is_rational_square
 from seqlab.ring import ParamPair, chebyshev_c, chebyshev_u, make_element, u_pair
 from seqlab.group import (
     GroupElement,
@@ -219,30 +218,53 @@ def test_deep_shift_witness(ctx, k):
     assert wit is not None and wit.k == -k
 
 
-def _reference_d_power(z):
-    """The walk from the identity: D**k, one product per step each way,
-    until the heights have passed height(z) three steps in a row."""
-    if z.ctx.is_one_param and not is_rational_square(z.det):
-        return None
-    one = identity_class(z.ctx)
-    if z == one:
-        return 0
-    d = companion_class(z.ctx)
-    for direction, step in ((1, d), (-1, d.inverse())):
-        cur, k, exceed = one, 0, 0
-        while exceed < 3:
-            cur, k = cur * step, k + direction
-            if cur == z:
-                return k
-            exceed = exceed + 1 if cur.height > z.height else 0
-    return None
+def _margin(ctx):
+    """(2L + |LT| + |LQ|)**2 from the context's cleared (L, LT, LQ): the
+    height ratio past which, by the bound in `laxton._canonical_shift`, no
+    further shift comes back down."""
+    L, LT, LQ = ctx.cleared
+    return (2 * L + abs(LT) + abs(LQ)) ** 2
 
+
+def _shifts(g, K):
+    """{k: g*D**k} for |k| <= K, one product per step each way."""
+    d = companion_class(g.ctx)
+    out = {0: g}
+    for step, direction in ((d, 1), (d.inverse(), -1)):
+        cur = g
+        for k in range(direction, direction * (K + 1), direction):
+            cur = cur * step
+            out[k] = cur
+    return out
+
+
+def _ends_certified(shifts, K, floor=1):
+    """Whether both ends of the window |k| <= K have heights above M times
+    max(floor, the window's least height).  Each shift past such an end then
+    has a height above that bar, at least the end's height over M."""
+    bar = _margin(shifts[0].ctx) * max(floor, min(g.height for g in shifts.values()))
+    return shifts[K].height > bar and shifts[-K].height > bar
+
+
+def _reference_d_power(z):
+    """The exhaustive search: the k with D**k = z among the shifts of the
+    identity over a window whose ends are certified against height(z)."""
+    K = 8
+    while not _ends_certified(shifts := _shifts(identity_class(z.ctx), K), K, z.height):
+        K *= 2
+    return next((k for k, g in shifts.items() if g == z), None)
+
+
+# two-parameter contexts where a stop after three steps above the best
+# height missed the minimum: their split parameters are -1/2, -1/2, -8/3
+# and -5/2, so heights grow slowly and wobble
+LATE_DIP_CONTEXTS = [ParamPair(-3, 6), ParamPair(F(3, 2), F(3, 2)), ParamPair(F(4, 3), F(-8, 3)), ParamPair(2, -8)]
 
 WALK_CONTEXTS = [ParamPair.one_param(t) for t in (F(3), F(-3), F(7), F(19, 3), F(6, 5), F(11, 7))] + [
     ParamPair(3, -2), ParamPair(2, -5), ParamPair(F(7, 2), F(5, 3)), ParamPair(3, F(2, 7)),
     # [-1, 1] is D at (-1, 5), D**2 at (2, 6) and D**-2 at (3, -3) and (-5, 5)
     ParamPair(-1, 5), ParamPair(2, 6), ParamPair(3, -3), ParamPair(-5, 5),
-]
+] + LATE_DIP_CONTEXTS
 
 
 def _small_class(rng, ctx):
@@ -308,20 +330,18 @@ def _two_walk_d_power(z):
 
 def _group_element_walk(g):
     """The walk on GroupElement products, as a reference for the walk on
-    raw pairs: the same steps, order and stop."""
-    d = companion_class(g.ctx)
+    raw pairs: the same steps and order, and each direction stops at the
+    first height above M times the best height."""
+    d, margin = companion_class(g.ctx), _margin(g.ctx)
     best, best_k = g, 0
     for step, direction in ((d, 1), (d.inverse(), -1)):
-        cur, k, exceed = g, 0, 0
-        while exceed < seqlab.laxton._HEIGHT_PATIENCE:
+        cur, k = g, 0
+        while True:
             cur, k = cur * step, k + direction
             if (cur.height, cur.a0, cur.a1) < (best.height, best.a0, best.a1):
                 best, best_k = cur, k
-                exceed = 0
-            elif cur.height > best.height:
-                exceed += 1
-            else:
-                exceed = 0
+            elif cur.height > margin * best.height:
+                break
     return best, best_k
 
 
@@ -336,6 +356,70 @@ def test_integer_walk_matches_the_group_element_walk():
             j = rng.randint(-40, 40)
             for z in (x, d ** j, w * d ** j, x * d ** j, x.inverse()):
                 assert seqlab.laxton._canonical_shift(z) == _group_element_walk(z), (ctx, z)
+
+
+def _exhaustive_contexts():
+    """t close to +-2 from both sides, inside (-2, 2) and with a 30-digit
+    denominator; seeded small (T, Q), half of them with Q < 0."""
+    n30 = 10 ** 29
+    ts = [F(2 * n + e, n) for n in range(1, 61) for e in (1, -1)] + [F(n + e, n) for n in range(1, 61) for e in (1, -1)]
+    ts += [F(6, 5), F(11, 7), F(1, 2), F(-5, 7), F(2 * n30 + 1, n30), F(n30 + 1, n30), F(-7 * n30 - 3, 3 * n30 + 1)]
+    pairs = []
+    rng = random.Random(2622)
+    while len(pairs) < 240:
+        sign = -1 if len(pairs) % 2 else 1
+        pairs.append(ParamPair(F(rng.randint(-9, 9), rng.randint(1, 4)), F(sign * rng.randint(1, 9), rng.randint(1, 4))))
+    out = []
+    for ctx in [ParamPair.one_param(t) for t in ts] + pairs:
+        try:
+            out.append(seqlab.group.check_group_context(ctx))
+        except DegenerateParameterError:
+            pass
+    return out
+
+
+EXHAUSTIVE_CONTEXTS = _exhaustive_contexts()
+
+
+def test_walk_returns_the_exhaustive_minimum():
+    """On seeded classes and D-powers shifted by up to +-25, the walk gives
+    the least (height, a0, a1) over |k| <= 70, and both ends of that window
+    are above M times its least height, so the window holds the minimum.
+    The late-dip contexts get 40 classes each, the others 3."""
+    assert len(EXHAUSTIVE_CONTEXTS) > 450
+    assert sum(ctx.Q < 0 for ctx in EXHAUSTIVE_CONTEXTS) > 100
+    rng = random.Random(3021)
+    K = 70
+    for ctx in EXHAUSTIVE_CONTEXTS + LATE_DIP_CONTEXTS:
+        d = companion_class(ctx)
+        n = 40 if ctx in LATE_DIP_CONTEXTS else 3
+        for z in [_small_class(rng, ctx) * d ** rng.randint(-25, 25) for _ in range(n)] + [d ** rng.randint(-25, 25)]:
+            shifts = _shifts(z, K)
+            assert _ends_certified(shifts, K), (ctx, z)
+            k, rep = min(shifts.items(), key=lambda kg: (kg[1].height, kg[1].a0, kg[1].a1))
+            assert seqlab.laxton._canonical_shift(z) == (rep, k), (ctx, z)
+
+
+@pytest.mark.parametrize("ctx, pair, rep, k", [
+    # heights from k = -27 to -20: 15, 52, 39, 80, 30, 172, 129, 656
+    (ParamPair(F(4, 3), F(-8, 3)), (36738511143, 89292991760), (-14, 15), -27),
+    (ParamPair(2, -8), (1389, 5414), (-12, 23), -12),
+])
+def test_walk_passes_heights_that_dip_late(ctx, pair, rep, k):
+    """The minimum lies past more than three shifts above an earlier best."""
+    g = GroupElement.from_pair(ctx, *pair)
+    assert seqlab.laxton._canonical_shift(g) == (GroupElement(ctx, *rep), k)
+
+
+def test_a_deep_shift_keeps_its_coset_over_two_parameters():
+    """[6, 7] and [6, 7]*D**19 = [-2902, 5241] over (3/2, 3/2) are one coset."""
+    ctx = ParamPair(F(3, 2), F(3, 2))
+    x = GroupElement.from_pair(ctx, 6, 7)
+    y = x * companion_class(ctx) ** 19
+    assert (y.a0, y.a1) == (-2902, 5241)
+    assert LaxtonElement.of(x) == LaxtonElement.of(y)
+    assert canonical_coset_rep(y) == GroupElement(ctx, -2, 1)
+    assert laxton_eq(x, y).k == -19
 
 
 def _fraction_arithmetic(fn):
