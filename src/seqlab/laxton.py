@@ -11,8 +11,9 @@ back down (the Weil-height bound in `_canonical_shift`), so the walk
 returns the exact minimum.  The representative makes coset objects
 hashable and structurally comparable, and decides coset equality: X and Y
 share a coset iff X*Y^{-1} is a D-power, which the walk of X*Y^{-1} alone
-settles (see `_d_power_at`).  The identity is walked only where [-1, 1] may be a
-D-power, over two parameters, and as a torsion table's own identity entry.
+settles (see `_d_power_at`).  The identity is walked only where [-1, 1]
+may be a D-power, over two parameters, and as a torsion table's own
+identity entry.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def _d_power_at(rep: GroupElement, k: int) -> Optional[int]:
     rep = [0, 1] gives z = D**-k.  The "no" answers rest on the walk
     returning the exact minimum of the coset (`_canonical_shift` proves its
     stop): a D-power z has the canonical shift of <D>, which is [0, 1] or
-    [-1, 1]:
-    the reduced pairs of height 1 are [-1, 1], [0, 1], [1, 0] and [1, 1],
-    and only [-1, 1] has a smaller (height, a0, a1) than the identity.
+    [-1, 1]: the reduced pairs of height 1 are [-1, 1], [0, 1], [1, 0] and
+    [1, 1], and only [-1, 1] has a smaller (height, a0, a1) than the
+    identity.
     Over one parameter [-1, 1] is W, and W**2 is the class of D**-1, so
     W = D**j would make D torsion, which t not in {0, +-1, +-2} rules out.
     Over two parameters [-1, 1] is a D-power in three families: D itself

@@ -240,8 +240,10 @@ def _shifts(g, K):
 
 def _ends_certified(shifts, K, floor=1):
     """Whether both ends of the window |k| <= K have heights above M times
-    max(floor, the window's least height).  Each shift past such an end then
-    has a height above that bar, at least the end's height over M."""
+    max(floor, the window's least height).  By the bound in
+    `laxton._canonical_shift`, each shift past such an end then has a height
+    of at least the end's height over M, so above max(floor, that least
+    height)."""
     bar = _margin(shifts[0].ctx) * max(floor, min(g.height for g in shifts.values()))
     return shifts[K].height > bar and shifts[-K].height > bar
 
