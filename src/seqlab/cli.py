@@ -8,7 +8,12 @@ invariant (InvariantError).
 
 One parser per process, dispatch by name: `main` builds the parser on its
 first call and keeps it, and runs the module's `cmd_<command>` as it stands
-when the call is made.
+when the call is made.  An argv that starts with a command name is parsed
+once, by that command's own parser; the top-level parser sees only the
+argv it must answer with help or a usage error.  --format json is written
+in one pass by `_write_json`, which gives the bytes of json.dumps(payload,
+indent=2) without the pure-Python encoder that json.dumps falls back to
+whenever an indent is given.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, SeqLabError
@@ -326,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact arithmetic for second-order linear recursive sequences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser, which `main` parses a command's arguments with
+    parser.commands = sub.choices
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
@@ -391,17 +398,111 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with one scan of a command's arguments.
+
+    When argv starts with a command name, its arguments go straight to that
+    command's parser, and leftovers are reported as the subparser action
+    would report them: the top-level parser's "unrecognized arguments"
+    error, exit code 2.  Any other argv (empty, -h, an unknown command, a
+    leading --) goes to the top-level parser, which prints help or a usage
+    error.
+    """
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
+_INF = float("inf")
+_JSON_LEAF = {frozenset([int]): int.__repr__, frozenset([str]): _json_str}
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps spells it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, pieces: List[str], newline: str = "\n") -> None:
+    """Append `value` to `pieces` as json.dumps(value, indent=2) spells it.
+
+    `newline` is the line break and indentation of the line the value is
+    on.  Dicts take str keys only; lists and tuples are arrays, strings are
+    escaped to ASCII by json's own escaper, and any other type raises
+    TypeError.  An int past the interpreter's digit limit raises ValueError,
+    as in json.dumps.
+    """
+    if isinstance(value, str):
+        pieces.append(_json_str(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        leaf = _JSON_LEAF.get(frozenset(map(type, value)))
+        if leaf is not None:  # an array of ints or of strs: one join, no recursion
+            pieces.append("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            pieces.append(sep)
+            _write_json(item, pieces, inner)
+            sep = "," + inner
+        pieces.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            pieces.append(sep + _json_str(key) + ": ")
+            _write_json(item, pieces, inner)
+            sep = "," + inner
+        pieces.append(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def subcommand(name: str):
     """The subcommand function for a parsed command name, looked up at call time."""
     return globals()["cmd_" + name.replace("-", "_")]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         out = subcommand(args.command)(args)
         if args.format == "json":
-            text = json.dumps(out.payload, indent=2) + "\n"
+            pieces: List[str] = []
+            _write_json(out.payload, pieces)
+            pieces.append("\n")
+            text = "".join(pieces)
         elif args.format == "text":
             text = "".join(line + "\n" for line in out.lines)
         elif out.table is None:

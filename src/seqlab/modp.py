@@ -29,10 +29,9 @@ Computational Algebraic Number Theory", 1.4): for each prime q | N it
 divides m by q while V_{m/q}(s) = 2, so a prime the order keeps whole costs
 one ladder.  N's factors come from primes.factorize, which reads them off
 the window's sieve.  m = ord_p(D) is found once per (t, p), the first
-time a residue class on the row needs it, and its descent starts from N/2:
-<D> lies in G**2 (below), a subgroup of order N/2 of the cyclic G, so m
-divides N/2.  That drops the first ladder of a descent over N, the one on
-N/2, whose answer is known.
+time a residue class on the row needs it, by one descent over a divisor of
+N whose 2-part is already settled (below): <D> lies in G**2, and one
+Euler criterion says whether it lies in G**4.
 
 The index k = N/m of <D> in G is always even, and Euler's criterion on det
 decides membership in the squares G**2.  X -> z maps G onto a cyclic group
@@ -53,6 +52,21 @@ non-residue, with one builtin pow; no divisor is lost, as <D> lies in G**2.
 On rows with k = 2, <D> = G**2 and a residue det settles the test.  Only a
 residue class on a row with k >= 4 runs the ladder V_m(s) = 2, the one
 test path besides Euler's criterion.
+
+The same criterion settles the 2-part of m.  Let half = N/2; m divides
+half, as <D> lies in G**2, a subgroup of order half of the cyclic G.
+
+  * half odd: the descent runs over half.
+  * half even (4 | N): W = [-1, 1] has det W = t + 2, nonzero mod p as p
+    does not divide t**2 - 4, and W**2 is the class of D**-1.  Write
+    W = g**w and D = g**d for a generator g; then d = -2w mod N, and as
+    4 | N, 4 | d iff w is even.  So D lies in G**4 iff W lies in G**2, iff
+    t + 2 is a residue.  If it is, m divides half/2 and the descent runs
+    over half/2.  If it is not, d = 2 mod 4, so gcd(d, N) has 2-part
+    exactly 2 and m = N/gcd(d, N) has the 2-part 2**a of half.  Then
+    m / 2**a is the odd order of D**(2**a), whose s is s_D taken a times
+    through v -> v**2 - 2 (V_2n = V_n**2 - 2): its descent runs over
+    half / 2**a, and m is that order times 2**a.
 """
 
 from __future__ import annotations
@@ -123,10 +137,23 @@ def _row(num: int, den: int, p: int) -> List[int]:
 
 
 def _index(row: List[int], p: int) -> int:
-    """Find the index k of <D> in G on the row by the order descent, and
-    store it there; callers read row[2] first.  ord_p(D) divides N/2."""
-    half = (p + row[1]) >> 1
-    row[2] = k = 2 * half // _order((row[0] * row[0] - 2) % p, p, half)
+    """Find the index k of <D> in G on the row by one order descent, and
+    store it there; callers read row[2] first.  When 4 | N, Euler's
+    criterion on det W = t + 2 gives the 2-part of ord_p(D) first (see the
+    module docstring)."""
+    t_p, n = row[0], p + row[1]
+    half = n >> 1
+    s = (t_p * t_p - 2) % p
+    if half & 1:
+        m = _order(s, p, half)
+    elif _is_residue(t_p + 2, p):
+        m = _order(s, p, half >> 1)
+    else:
+        a = (half & -half).bit_length() - 1  # 2**a exactly divides half
+        for _ in range(a):
+            s = (s * s - 2) % p
+        m = _order(s, p, half >> a) << a
+    row[2] = k = n // m
     return k
 
 

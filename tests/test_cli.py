@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import multiprocessing
@@ -18,8 +19,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import seqlab
 from seqlab import cli, lab
 from seqlab.cli import build_parser, main
-from seqlab.errors import InvariantError
+from seqlab.errors import InvariantError, SeqLabError
 from seqlab.lab import CSV_HEADER, PrimeWindow
+
+# the benchmark's call lists, loaded by path: perfbench/ is not a package
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def run(capsys, *argv):
@@ -563,23 +570,69 @@ def _parser_corpus():
     return corpus
 
 
-def _run_captured(argv):
+def _run_captured(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as exc:  # argparse rejections and --help
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
-def test_shared_parser_matches_a_fresh_parser_per_call(monkeypatch):
-    corpus = _parser_corpus()
+def _reference_main(argv):
+    """`main` as it was before one-pass parsing and writing, kept as the
+    reference: a fresh parser's full parse_args, and json.dumps with indent=2."""
+    args = build_parser().parse_args(argv)
+    try:
+        out = cli.subcommand(args.command)(args)
+        if args.format == "json":
+            text = json.dumps(out.payload, indent=2) + "\n"
+        elif args.format == "text":
+            text = "".join(line + "\n" for line in out.lines)
+        elif out.table is None:
+            raise SeqLabError("csv output is not defined for %s" % args.command)
+        else:
+            buf = io.StringIO()
+            csv.writer(buf).writerows([out.table[0], *out.table[1]])
+            text = buf.getvalue()
+        sys.stdout.write(text)
+        return 0
+    except SeqLabError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except InvariantError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        return 0
+
+
+# argv whose parse depends on how the top-level parser hands a command its
+# arguments: a leading or trailing --, a lone -, --flag=value, an
+# abbreviated flag, leftover positionals and unknown flags
+EDGE_ARGV = [
+    ["--", "seq", "--t", "3", "--x", "1,1"],
+    ["seq", "-", "--t", "3", "--x", "1,1"],
+    ["seq", "--t=3", "--x=1,1", "--format=json"],
+    ["seq", "--ra", "0..3", "--t", "3", "--x", "-1,1"],
+    ["seq", "--t", "3", "--x", "1,1", "--", "x"],
+    ["seq", "--t", "3", "--x", "1,1", "--", "--range", "0..2"],
+    ["classify", "--t", "3", "a", "b"],
+    ["sqrt", "a", "--t", "3", "--x", "1,3"],
+    ["divisors", "--t", "3", "--x", "1,4", "--primes", "5", "--parallel", "2"],
+    ["table3", "--primes", "5", "--format", "json", "-q"],
+    ["seq", "--he"], ["-h", "seq"], ["--format", "json"], ["seq"], ["SEQ", "--t", "3"],
+]
+
+
+def test_main_matches_the_reference_main(monkeypatch):
+    """Over the parser corpus and the edge argv, `main`, on its one shared
+    parser, gives the reference main's exit code, stdout and stderr, byte
+    for byte; the reference builds a fresh parser per call."""
+    corpus = _parser_corpus() + EDGE_ARGV
     assert len(corpus) >= 600
-    fresh = []
-    for argv in corpus:
-        cli._parser.cache_clear()
-        fresh.append(_run_captured(argv))
+    reference = [_run_captured(argv, _reference_main) for argv in corpus]
     builds = []
 
     def counted_build():
@@ -590,9 +643,9 @@ def test_shared_parser_matches_a_fresh_parser_per_call(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", counted_build)
     shared = [_run_captured(argv) for argv in corpus]
     assert len(builds) == 1
-    for argv, a, b in zip(corpus, shared, fresh):
+    for argv, a, b in zip(corpus, shared, reference):
         assert a == b, argv
-    codes = {code for code, _, _ in fresh}
+    codes = {code for code, _, _ in reference}
     assert codes == {0, 2}
 
 
@@ -602,6 +655,78 @@ def test_independence_huge_prime_T(capsys):
                          "--x", "1,2", "--window", "first:20", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["T"] == 18446744073709551557
+
+
+# ---------------------------------------------------------------------------
+# the json writer against json.dumps(v, indent=2)
+# ---------------------------------------------------------------------------
+
+
+def _written(value):
+    pieces = []
+    cli._write_json(value, pieces)
+    return "".join(pieces)
+
+
+_JSON_STR = st.one_of(st.text(), st.sampled_from([
+    "", '"', "\\", 'a "quoted" \\ path', "\x00\x1f\x7f\n\t\r", "caf\u00e9 \u20ac \U0001f600", "\ud800",
+]))
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), _JSON_STR,
+    st.integers(), st.integers(-10**4000, 10**4000),
+    st.floats(), st.sampled_from([-0.0, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")]),
+)
+_JSON_TREE = st.recursive(_JSON_SCALAR, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(_JSON_STR, children, max_size=5),
+    # arrays of one leaf type: ints, strs, and bools, which are ints to isinstance
+    st.lists(st.integers(), max_size=5), st.lists(_JSON_STR, max_size=5), st.lists(st.booleans(), max_size=5),
+), max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_TREE)
+def test_json_writer_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 3), {1, 2}, {1: "a"}, {"a": [1, {(1, 2): 3}]}, [b"bytes"], {"a": object()},
+])
+def test_json_writer_rejects_what_json_cannot_spell(value):
+    with pytest.raises(TypeError):
+        _written(value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.11")
+@pytest.mark.parametrize("value", [10**4300, [-(10**4300)], {"n": [1, 10**4300]}],
+                         ids=["int", "array", "nested"])
+def test_json_writer_keeps_the_int_digit_limit(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2)
+    with pytest.raises(ValueError):
+        _written(value)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's outputs
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_call_lists_reproduce_the_golden_hashes():
+    """The seed-1 call list of every benchmark workload, run through `main`,
+    gives the hash perfbench/golden.json records: sha256 over the
+    concatenated hex sha256 of each call's "<exit code>\\0<stdout>"."""
+    with open(os.path.join(PERFBENCH, "golden.json")) as fh:
+        golden = json.load(fh)
+    assert sorted(golden["sha256"]) == sorted(workloads.WORKLOADS)
+    for name, expected in golden["sha256"].items():
+        digests = []
+        for call in workloads.generate(name, golden["seed"]):
+            code, out, _ = _run_captured(call["argv"])
+            digests.append(hashlib.sha256(("%s\0%s" % (code, out)).encode()).hexdigest())
+        assert hashlib.sha256("".join(digests).encode()).hexdigest() == expected, name
 
 
 # ---------------------------------------------------------------------------

@@ -556,13 +556,15 @@ def test_index_of_companion_subgroup_is_even(kind):
 @pytest.mark.parametrize("kind", ["integer", "fractional", "circular", "cubic"])
 def test_lazy_index_matches_full_descent(kind):
     """On 300 seeded fresh rows per kind, p < 5000, the index k that a row
-    finds on demand, from a descent over N/2, equals N // ord_p(D) from the
-    descent over all of N.  Rows with N = 0 mod 4 occur, and so do rows
-    with N = 2 mod 4 except for circular t: there t**2 - 4 is -1 times a
-    square, so N = p - 1 exactly when p = 1 mod 4 and N = 0 mod 4 always."""
+    finds on demand, from one descent whose 2-part Euler's criterion on
+    t + 2 settles, equals N // ord_p(D) from the descent over all of N.
+    Rows with N = 0 mod 4 occur, with t + 2 a residue and with t + 2 a
+    non-residue, and so do rows with N = 2 mod 4 except for circular t:
+    there t**2 - 4 is -1 times a square, so N = p - 1 exactly when
+    p = 1 mod 4 and N = 0 mod 4 always."""
     rng = random.Random(0x1A2 + len(kind))
     primes = odd_primes_below(5000)
-    residues = set()
+    branches = set()
     for _ in range(300):
         while True:
             t, p = random_parameter(rng, kind), rng.choice(primes)
@@ -573,8 +575,10 @@ def test_lazy_index_matches_full_descent(kind):
         t_p, n = row[0], p + row[1]
         eager = n // modp._order((t_p * t_p - 2) % p, p, n)
         assert modp._index(row, p) == row[2] == eager, (t, p)
-        residues.add(n % 4)
-    assert residues == ({0} if kind == "circular" else {0, 2})
+        residue = pow((t_p + 2) % p, (p - 1) // 2, p) == 1
+        branches.add("2 mod 4" if n % 4 else "t + 2 residue" if residue else "t + 2 non-residue")
+    four = {"t + 2 residue", "t + 2 non-residue"}
+    assert branches == (four if kind == "circular" else four | {"2 mod 4"})
 
 
 def test_rows_find_the_index_only_for_a_residue_class(monkeypatch):
@@ -701,11 +705,26 @@ def test_orders_on_high_prime_powers_match_stepping(p, n, sample):
         assert seen == {d for d in range(1, n + 1) if n % d == 0}
 
 
+def companion_descent_range(t, p):
+    """(n, m'): the range the descent for ord_p(D) runs over and the order
+    it finds there, from the pair-power reference.  With half = N/2: half
+    itself when it is odd, half/2 when 4 | N and t + 2 is a residue, else
+    the odd part half/2**a, where it finds ord_p(D)/2**a."""
+    n, m = group_order_ref(t, p), descent_companion_order(t, p)
+    half = n // 2
+    if half % 2:
+        return half, m
+    if pow((t_mod_p(t, p) + 2) % p, (p - 1) // 2, p) == 1:
+        return half // 2, m
+    a = valuation(half, 2)
+    return half >> a, m >> a
+
+
 def test_descent_runs_one_ladder_per_prime_it_keeps(monkeypatch):
-    """On the rows of one sweep, each descent for ord_p(D), over N/2, runs
-    sum over q | N/2 of min(e_q, v_q(k/2) + 1) ladders, with e_q = v_q(N/2)
-    and k = N/ord_p(D) from the pair-power reference: one per prime, and
-    one more per factor q it divides out."""
+    """On the rows of one sweep, each descent for ord_p(D), over the range
+    n that companion_descent_range gives, runs sum over q | n of
+    min(e_q, v_q(n/m') + 1) ladders, with e_q = v_q(n) and m' the order it
+    finds: one per prime, and one more per factor q it divides out."""
     ladders, descents = [], []
     real_order, real_lucas = modp._order, modp._lucas_v
 
@@ -727,12 +746,11 @@ def test_descent_runs_one_ladder_per_prime_it_keeps(monkeypatch):
     primes = lab.window_split(t, PrimeWindow("first", 700))[0]
     divisor_table(elements, primes)
     repeats = 0
-    for p, half, count in descents:
-        n = group_order_ref(t, p)
-        assert half == n // 2, p
-        k = n // descent_companion_order(t, p)
-        steps = [min(e, valuation(k // 2, q) + 1) for q, e in factorize(half).items()]
-        assert count == sum(steps), (p, n, k)
+    for p, n, count in descents:
+        expected, m = companion_descent_range(t, p)
+        assert n == expected and n % m == 0, p
+        steps = [min(e, valuation(n // m, q) + 1) for q, e in factorize(n).items()]
+        assert count == sum(steps), (p, n, m)
         repeats += any(step > 1 for step in steps)
     assert len(descents) > 500 and repeats > 20
 
